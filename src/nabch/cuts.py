@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .magma import Monomial, leaf, left_normed_power, node
+from .magma import Monomial, is_left_normed_word, leaf, left_normed_power, node
 from .series import Q, b_tau, tau_factorial
 
 _SLOT = leaf("x")  # skeletons are one-variable shapes
@@ -70,19 +70,19 @@ def enumerate_cuts(w: Monomial) -> tuple[Cut, ...]:
     return out
 
 
+def _power_of(m: Monomial, var: str) -> bool:
+    """Whether m is a left-normed power of the generator ``var``."""
+    return m.vars == (var,) and is_left_normed_word(m)
+
+
 def xiyj_shape(m: Monomial) -> tuple[int, int] | None:
     """(i, j) if m is x^i y^j — left-normed powers, x-block then y-block."""
-    i, j = m.xdeg, m.ydeg
-    if i + j != m.degree:
-        return None
-    if j == 0:
-        return (i, 0) if m == left_normed_power("x", i) else None
-    if i == 0:
-        return (0, j) if m == left_normed_power("y", j) else None
-    if m.is_leaf:
-        return None
-    if m.left == left_normed_power("x", i) and m.right == left_normed_power("y", j):
-        return (i, j)
+    if _power_of(m, "x"):
+        return (m.degree, 0)
+    if _power_of(m, "y"):
+        return (0, m.degree)
+    if not m.is_leaf and _power_of(m.left, "x") and _power_of(m.right, "y"):
+        return (m.left.degree, m.right.degree)
     return None
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import factorial
 
 from .series import Q, Series, exp_l, log_l
@@ -210,40 +209,61 @@ def bch_first_order_combo(n: int) -> PrimCombo:
     return PrimCombo.single(GX) + tau_inverse_combo(n)
 
 
-def _cross_bracket(prefix_combos, y_combo: PrimCombo, z_combo: PrimCombo, cap: int) -> PrimCombo:
-    """Multilinear expansion of the bracket over combination-valued slots."""
-    slot_items = [list(c.items()) for c in prefix_combos] + [
-        list(y_combo.items()),
-        list(z_combo.items()),
-    ]
-    if any(not items for items in slot_items):
+def _by_degree(combo: PrimCombo) -> list:
+    """The (expr, coeff) terms of ``combo`` in ascending degree."""
+    return sorted(combo.terms.items(), key=lambda kv: kv[0].degree)
+
+
+def _cross_bracket(slots, cap: int) -> PrimCombo:
+    """Multilinear expansion of the bracket <s_1, ..., s_m; y, z> over
+    combination-valued slots, keeping the terms of total degree <= cap.
+
+    ``slots`` lists each slot's terms as :func:`_by_degree` gives them, the
+    tail slots y and z last.  A backtracking walk: a slot's loop stops at the
+    first term that leaves too little room for the least degrees the later
+    slots still need.  Choices with equal tail slots are skipped, since
+    <u; a, a> = 0 and [a, a] = 0 exactly.
+    """
+    if not all(slots):
         return PrimCombo()
+    last = len(slots) - 1
+    need = [0] * (last + 2)  # need[i]: least degree of slots i..last
+    for i in range(last, -1, -1):
+        need[i] = need[i + 1] + slots[i][0][0].degree
     out: dict[PrimExpr, Q] = {}
-    for choice in product(*slot_items):
-        total = sum(expr_degree(e) for e, _ in choice)
-        if total > cap:
-            continue
-        coeff = Q(1)
-        for _, c in choice:
-            coeff *= c
-        exprs = [e for e, _ in choice]
-        key = su_bracket_expr(tuple(exprs[:-2]), exprs[-2], exprs[-1])
-        out[key] = out.get(key, Q(0)) + coeff
+
+    def walk(i: int, budget: int, coeff: Q, chosen: tuple) -> None:
+        room = budget - need[i + 1]
+        for e, c in slots[i]:
+            d = e.degree
+            if d > room:
+                break
+            if i < last:
+                walk(i + 1, budget - d, coeff * c, chosen + (e,))
+            elif e is not chosen[-1]:  # expressions are interned
+                key = su_bracket_expr(chosen[:-1], chosen[-1], e)
+                prev = out.get(key)
+                out[key] = coeff * c if prev is None else prev + coeff * c
+
+    walk(0, cap, Q(1), ())
     return PrimCombo(out)
 
 
-def _pj_combo(j: Composition, slot_combos, z_combo: PrimCombo, cap: int) -> PrimCombo:
-    """P_J over combination-valued slots; ``slot_combos`` lists the weight(J)
-    bracket slots in order, ``z_combo`` fills the innermost position."""
-    inner = z_combo
-    idx = len(slot_combos)
+def _pj_combo(j: Composition, slots: list, z_terms: list, cap: int) -> PrimCombo:
+    """P_J over combination-valued slots; ``slots`` lists the weight(J)
+    bracket slots in order and ``z_terms`` fills the innermost position, all
+    as :func:`_by_degree` term lists.  An inner level keeps only the terms
+    that leave room for the least degrees of the outer slots."""
+    inner = z_terms
+    idx = len(slots)
     for part in reversed(j):
-        level = slot_combos[idx - part : idx]
         idx -= part
-        inner = _cross_bracket(level[:-1], level[-1], inner, cap)
-        if inner.is_zero():
-            return inner
-    return inner
+        outer = sum(s[0][0].degree for s in slots[:idx])
+        combo = _cross_bracket(slots[idx : idx + part] + [inner], cap - outer)
+        if not idx or combo.is_zero():
+            break
+        inner = _by_degree(combo)
+    return combo
 
 
 @lru_cache(maxsize=None)
@@ -270,23 +290,28 @@ def bch_ode(n: int) -> PrimCombo:
             driver[k] = acc
 
     omega: list[PrimCombo] = [PrimCombo.single(GX)]
+    omega_terms = [_by_degree(omega[0])]
+    driver_terms = {k: _by_degree(d) for k, d in driver.items()}
     for k in range(n):
-        rhs = driver.get(k, PrimCombo())
+        rhs = dict(driver[k].terms) if k in driver else {}
         for weight in range(1, n):
             for j in compositions(weight):
                 nj = n_coeff(j)
                 if not nj:
                     continue
-                for d_ord, d_combo in driver.items():
+                for d_ord, d_terms in driver_terms.items():
                     rem = k - d_ord
                     if rem < 0:
                         continue
                     for orders in _distributions(rem, weight):
-                        slots = [omega[o] for o in orders]
-                        term = _pj_combo(j, slots, d_combo, n)
-                        if not term.is_zero():
-                            rhs = rhs + nj * term
-        omega.append(_prune_zero_eval(Q(1, k + 1) * rhs.up_to(n)))
+                        slots = [omega_terms[o] for o in orders]
+                        for e, c in _pj_combo(j, slots, d_terms, n).terms.items():
+                            prev = rhs.get(e)
+                            rhs[e] = nj * c if prev is None else prev + nj * c
+        scale = Q(1, k + 1)
+        part = PrimCombo({e: scale * c for e, c in rhs.items() if e.degree <= n})
+        omega.append(_prune_zero_eval(part))
+        omega_terms.append(_by_degree(omega[-1]))
 
     total = PrimCombo()
     for part in omega:

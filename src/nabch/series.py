@@ -52,21 +52,24 @@ class Series:
         if truncation < 1:
             raise ValueError("truncation degree must be >= 1")
         self.truncation = truncation
-        self.constant = Q(constant)
+        self.constant = constant if type(constant) is Fraction else Q(constant)
         clean: dict[Monomial, Q] = {}
         if terms:
             for m, c in (terms.items() if isinstance(terms, dict) else terms):
                 if m.degree > truncation:
                     continue
-                c = Q(c)
+                if type(c) is not Fraction:
+                    c = Q(c)
                 if c:
                     prev = clean.get(m)
                     if prev is None:
                         clean[m] = c
-                    elif prev + c:
-                        clean[m] = prev + c
                     else:
-                        del clean[m]
+                        c = prev + c
+                        if c:
+                            clean[m] = c
+                        else:
+                            del clean[m]
         self.terms = clean
 
     @classmethod
@@ -140,7 +143,8 @@ class Series:
         n = _join_truncation(self.truncation, other.truncation)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Q(0)) + c
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
         return Series(n, out, self.constant + other.constant)
 
     def __sub__(self, other):
@@ -193,7 +197,8 @@ def _mul(a: Series, b: Series, n: int) -> Series:
         for mb, vb in b.terms.items():
             if da + mb.degree <= n:
                 m = node(ma, mb)
-                out[m] = out.get(m, Q(0)) + va * vb
+                prev = out.get(m)
+                out[m] = va * vb if prev is None else prev + va * vb
     return Series(n, out, ca * cb)
 
 

@@ -378,13 +378,18 @@ class PrimCombo:
         clean: dict[PrimExpr, Q] = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Q(c)
+                if type(c) is not Fraction:
+                    c = Q(c)
                 if c:
-                    prev = clean.get(e, Q(0)) + c
-                    if prev:
-                        clean[e] = prev
-                    elif e in clean:
-                        del clean[e]
+                    prev = clean.get(e)
+                    if prev is None:
+                        clean[e] = c
+                    else:
+                        c = prev + c
+                        if c:
+                            clean[e] = c
+                        else:
+                            del clean[e]
         self.terms = clean
 
     @classmethod
@@ -405,7 +410,8 @@ class PrimCombo:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) + c
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
         return PrimCombo(out)
 
     def __sub__(self, other):
@@ -430,10 +436,14 @@ class PrimCombo:
         return max((expr_degree(e) for e in self.terms), default=0)
 
     def evaluate(self, n: int) -> Series:
-        out = Series.zero(n)
+        acc: dict = {}
         for e, c in self.terms.items():
-            out = out + c * eval_prim(e, n)
-        return out
+            if e.degree > n:
+                continue
+            for m, v in eval_prim(e, e.degree).terms.items():
+                prev = acc.get(m)
+                acc[m] = c * v if prev is None else prev + c * v
+        return Series(n, acc)
 
     def to_text(self, latex: bool = False) -> str:
         render = expr_to_latex if latex else expr_to_text

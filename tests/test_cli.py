@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from nabch import magnus
 from nabch.cli import main
+from nabch.suops import GX, PrimCombo
 
 
 def run(capsys, *argv):
@@ -84,6 +86,42 @@ def test_degree_cap(capsys, monkeypatch):
     monkeypatch.setenv("BCH_MAX_DEGREE", "not-a-number")
     code, _, err = run(capsys, "expand", "--degree", "2")
     assert code == 2 and "integer" in err
+
+
+def test_primitive_route_cap(capsys, monkeypatch):
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    for basis in ("primitive", "both"):
+        code, out, err = run(capsys, "expand", "--degree", "7", "--basis", basis)
+        assert code == 2 and out == ""
+        assert "cap 6 of the primitive route" in err
+        assert "30 s at degree 7" in err
+    # the monomial route keeps its own cap
+    code, _, err = run(capsys, "expand", "--degree", "9", "--basis", "monomial")
+    assert code == 2 and "cap 8" in err and "primitive" not in err
+
+
+def test_primitive_route_cap_yields_to_explicit_caps(capsys, monkeypatch):
+    # a stub route, so that the accepted degree costs nothing
+    monkeypatch.setattr(magnus, "bch_ode", lambda n: PrimCombo.single(GX))
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    primitive = ("expand", "--basis", "primitive")
+    code, out, _ = run(capsys, *primitive, "--degree", "7", "--max-degree", "7")
+    assert code == 0 and out.strip() == "degree 1: x"
+    code, _, err = run(capsys, *primitive, "--degree", "5", "--max-degree", "4")
+    assert code == 2 and "cap 4" in err
+    monkeypatch.setenv("BCH_MAX_DEGREE", "7")
+    code, _, _ = run(capsys, *primitive, "--degree", "7")
+    assert code == 0
+    monkeypatch.setenv("BCH_MAX_DEGREE", "4")
+    code, _, err = run(capsys, *primitive, "--degree", "5")
+    assert code == 2 and "cap 4" in err
+
+
+def test_expand_both_degree_6_agrees(capsys, monkeypatch):
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    code, out, _ = run(capsys, "expand", "--degree", "6", "--basis", "both", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["bases_agree"] is True
 
 
 def test_check_suite(capsys):

@@ -80,6 +80,29 @@ def test_xiyj_shape():
     assert xiyj_shape(parse("(x(yy))")) == (1, 2)
 
 
+def _xiyj_by_powers(m):
+    """The shape test written with the powers themselves, as an oracle."""
+    i, j = m.xdeg, m.ydeg
+    if i + j != m.degree:
+        return None
+    if j == 0:
+        return (i, 0) if m == left_normed_power("x", i) else None
+    if i == 0:
+        return (0, j) if m == left_normed_power("y", j) else None
+    if m.left == left_normed_power("x", i) and m.right == left_normed_power("y", j):
+        return (i, j)
+    return None
+
+
+def test_xiyj_shape_matches_powers_through_degree_8():
+    for deg in range(1, 9):
+        for m in enumerate_monomials(deg):
+            assert xiyj_shape(m) == _xiyj_by_powers(m), m
+    for deg in range(1, 5):
+        for m in enumerate_monomials(deg, ("x", "y", "z")):
+            assert xiyj_shape(m) == _xiyj_by_powers(m), m
+
+
 def test_xmyn_monomial_convention():
     assert xmyn_monomial(2, 1) == parse("((xx)y)")
     assert xmyn_monomial(1, 2) == parse("(x(yy))")

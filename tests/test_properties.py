@@ -1,13 +1,24 @@
 """Hypothesis property tests over randomly generated monomials and series."""
 
 from fractions import Fraction as F
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from nabch.hopf import coproduct, coproduct_monomial, is_primitive
 from nabch.magma import compare, format_monomial, leaf, node, parse
+from nabch.magnus import _by_degree, _cross_bracket
 from nabch.series import Series, project_associative, substitute
-from nabch.suops import su_bracket
+from nabch.suops import (
+    GX,
+    GY,
+    Commutator,
+    PrimCombo,
+    eval_prim,
+    phi_expr,
+    su_bracket,
+    su_bracket_expr,
+)
 
 
 def monomials(max_degree=4):
@@ -94,3 +105,64 @@ def test_commutator_of_primitive_parts(s, t):
     sp = Series(4, {m: c for m, c in s.terms.items() if m.degree == 1})
     tp = Series(4, {m: c for m, c in t.terms.items() if m.degree == 1})
     assert is_primitive(sp * tp - tp * sp)
+
+
+# -- primitive-operation combinations
+
+EXPRS = (
+    GX,
+    GY,
+    Commutator(GX, GY),
+    Commutator(GY, GX),
+    su_bracket_expr([GX], GX, GY),
+    su_bracket_expr([GY], GY, GX),
+    phi_expr([GX], [GY, GY]),
+)
+
+
+def combos(min_size=0):
+    nonzero = rationals().filter(bool)
+    return st.dictionaries(st.sampled_from(EXPRS), nonzero, min_size=min_size, max_size=4).map(
+        PrimCombo
+    )
+
+
+def _cross_bracket_by_product(slot_combos, cap):
+    """The whole product of slot terms, then the degree cap: the oracle."""
+    out = {}
+    for choice in product(*(c.terms.items() for c in slot_combos)):
+        if sum(e.degree for e, _ in choice) > cap:
+            continue
+        coeff = F(1)
+        for _, c in choice:
+            coeff *= c
+        exprs = [e for e, _ in choice]
+        key = su_bracket_expr(tuple(exprs[:-2]), exprs[-2], exprs[-1])
+        out[key] = out.get(key, 0) + coeff
+    return PrimCombo(out)
+
+
+def _equal_tails(e):
+    return e.a is e.b if isinstance(e, Commutator) else e.y is e.z
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(combos(), max_size=2), combos(), combos(), st.integers(1, 7))
+def test_cross_bracket_equals_product_expansion(prefix, y, z, cap):
+    slot_combos = [*prefix, y, z]
+    got = _cross_bracket([_by_degree(c) for c in slot_combos], cap)
+    want = _cross_bracket_by_product(slot_combos, cap)
+    # the walk skips choices with equal tail slots, which vanish exactly
+    skipped = PrimCombo({e: c for e, c in want.terms.items() if _equal_tails(e)})
+    assert got == want - skipped
+    for e in skipped.terms:
+        assert eval_prim(e, e.degree).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(combos(min_size=1), st.integers(1, 4))
+def test_prim_combo_evaluate_is_termwise_sum(combo, n):
+    want = Series.zero(n)
+    for e, c in combo.terms.items():
+        want = want + c * eval_prim(e, n)
+    assert combo.evaluate(n) == want
