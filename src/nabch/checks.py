@@ -14,10 +14,11 @@ from math import factorial
 
 from . import dsw, hopf, magnus, trees
 from .cuts import closed_form_xmyn, coefficient_via_cuts, enumerate_bch_cuts, xmyn_monomial
-from .magma import enumerate_monomials, leaf, node
+from .magma import enumerate_monomials, is_left_normed_word, leaf, node
 from .series import (
     Q,
     Series,
+    _normalise,
     dynkin_bch,
     exp_l,
     left_normed_product,
@@ -45,7 +46,7 @@ def _random_series(rng: random.Random, degree: int, truncation: int) -> Series:
 
 
 def _triple_coproduct(s: Series, left_first: bool):
-    out: dict = {}
+    pairs = []
     for (a, b), c in hopf.coproduct(s).terms.items():
         target = a if left_first else b
         if target is None:
@@ -54,8 +55,8 @@ def _triple_coproduct(s: Series, left_first: bool):
             inner = hopf.coproduct_monomial(target)
         for (p, q), k in inner.items():
             key = (p, q, b) if left_first else (a, p, q)
-            out[key] = out.get(key, Q(0)) + c * k
-    return {k: v for k, v in out.items() if v}
+            pairs.append((key, c * k))
+    return _normalise(pairs)
 
 
 def check_hopf(degree: int) -> list[CheckResult]:
@@ -217,7 +218,7 @@ def check_dsw(degree: int) -> list[CheckResult]:
     ok = True
     for d in range(1, min(degree, 5) + 1):
         for m in enumerate_monomials(d):
-            if not _is_left_normed(m):
+            if not is_left_normed_word(m):
                 continue
             combo = dsw.bracketize_word(m)
             if combo.evaluate(d) != dsw.gamma(dsw.DEGREE, Series.monomial(m, d)):
@@ -240,12 +241,6 @@ def check_dsw(degree: int) -> list[CheckResult]:
     rhs = combo.evaluate(nn) - 3 * associator(a, b, c)
     out.append(CheckResult("mixed-association correction", lhs == rhs))
     return out
-
-
-def _is_left_normed(m) -> bool:
-    from .magma import is_left_normed_word
-
-    return is_left_normed_word(m)
 
 
 def check_magnus(degree: int) -> list[CheckResult]:

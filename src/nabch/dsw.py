@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import hopf
 from .magma import Monomial, is_left_normed_word, leaf, node, word_letters
-from .series import Q, Series
+from .series import Q, Series, _accumulate, _normalise
 from .suops import Gen, PrimCombo, su_bracket_expr, su_bracket_series
 
 
@@ -62,15 +62,12 @@ def _sub_apply(d: SubstitutionDerivation, m: Monomial) -> dict[Monomial, Q]:
     if out is not None:
         return out
     if m.is_leaf:
-        out = dict(d.value.terms) if m.var == d.target else {}
+        out = d.value.terms if m.var == d.target else {}
     else:
-        out = {}
-        for t, c in _sub_apply(d, m.left).items():
-            k = node(t, m.right)
-            out[k] = out.get(k, Q(0)) + c
-        for t, c in _sub_apply(d, m.right).items():
-            k = node(m.left, t)
-            out[k] = out.get(k, Q(0)) + c
+        out = _normalise(
+            [(node(t, m.right), c) for t, c in _sub_apply(d, m.left).items()]
+            + [(node(m.left, t), c) for t, c in _sub_apply(d, m.right).items()]
+        )
     _SUB_CACHE[key] = out
     return out
 
@@ -79,9 +76,7 @@ def apply(d: Derivation, s: Series) -> Series:
     """Leibniz extension of d to a series; constants map to zero."""
     out: dict[Monomial, Q] = {}
     for m, c in s.terms.items():
-        for t, v in _apply_monomial(d, m).items():
-            if t.degree <= s.truncation:
-                out[t] = out.get(t, Q(0)) + c * v
+        _accumulate(out, _apply_monomial(d, m).items(), c)
     return Series(s.truncation, out)
 
 
@@ -99,13 +94,9 @@ def _gamma_monomial(d: Derivation, u: Monomial) -> dict[Monomial, Q]:
         if b is None:
             continue  # d(1) = 0
         for t, c in _apply_monomial(d, b).items():
-            coeff = mult * c
-            if a is None:
-                out[t] = out.get(t, Q(0)) + coeff
-            else:
-                for r, k in hopf.left_divide_monomial(a, t).items():
-                    out[r] = out.get(r, Q(0)) + coeff * k
-    out = {t: c for t, c in out.items() if c}
+            quotient = {t: 1} if a is None else hopf.left_divide_monomial(a, t)  # 1 \ t = t
+            _accumulate(out, quotient.items(), mult * c)
+    out = _normalise(out)
     _GAMMA_CACHE[key] = out
     return out
 
@@ -114,9 +105,7 @@ def gamma(d: Derivation, s: Series) -> Series:
     """Linear extension of gamma_d; gamma_d(1) = 0."""
     out: dict[Monomial, Q] = {}
     for m, c in s.terms.items():
-        for t, v in _gamma_monomial(d, m).items():
-            if t.degree <= s.truncation:
-                out[t] = out.get(t, Q(0)) + c * v
+        _accumulate(out, _gamma_monomial(d, m).items(), c)
     return Series(s.truncation, out)
 
 
@@ -148,7 +137,7 @@ def _bracketize(letters: tuple[str, ...]) -> PrimCombo:
     if len(letters) == 1:
         return PrimCombo.single(Gen(letters[0]))
     init, last = letters[:-1], letters[-1]
-    out = PrimCombo()
+    pairs = []
     k = len(init)
     # Sweedler components of a left-normed word are the subword pairs
     for mask in range(1 << k):
@@ -159,8 +148,8 @@ def _bracketize(letters: tuple[str, ...]) -> PrimCombo:
         inner = _bracketize(rest)
         pref_exprs = tuple(Gen(g) for g in prefix)
         for e, c in inner.terms.items():
-            out = out + PrimCombo.single(su_bracket_expr(pref_exprs, Gen(last), e), c)
-    return out
+            pairs.append((su_bracket_expr(pref_exprs, Gen(last), e), c))
+    return PrimCombo(pairs)
 
 
 def bracketize_word(w: Monomial, d: Derivation = DEGREE) -> PrimCombo:

@@ -15,8 +15,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .magma import Monomial, monomial_from_json, monomial_to_json, node
-from .series import Q, Series, _join_truncation
+from .magma import Monomial, mirror, monomial_from_json, monomial_to_json, node
+from .series import (
+    Q,
+    Series,
+    _accumulate,
+    _equal,
+    _join_truncation,
+    _normalise,
+    _render_terms,
+    _scaled,
+)
 
 # Tensor-square keys are (left, right) with None standing for the unit slot.
 TensorKey = tuple
@@ -35,28 +44,29 @@ def _key_degree(k: TensorKey) -> int:
     return (0 if a is None else a.degree) + (0 if b is None else b.degree)
 
 
+def _tensor_product(p, q, n: int) -> dict:
+    """The product (a1 (x) b1)(a2 (x) b2) = a1a2 (x) b1b2, extended
+    bilinearly to the tensor-pair maps p and q, keeping total degree <= n."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        d1 = _key_degree((a1, b1))
+        for (a2, b2), c2 in q.items():
+            if d1 + _key_degree((a2, b2)) <= n:
+                k = (_graft(a1, a2), _graft(b1, b2))
+                prev = out.get(k)
+                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+    return out
+
+
 class TensorSeries:
-    """Sparse element of the tensor square, truncated on total pair degree."""
+    """Sparse element of the tensor square, truncated on total pair degree;
+    ``terms`` is read-only."""
 
     __slots__ = ("truncation", "terms")
 
     def __init__(self, truncation: int, terms=None):
-        if truncation < 1:
-            raise ValueError("truncation degree must be >= 1")
+        self.terms = _normalise(terms, truncation, _key_degree)
         self.truncation = truncation
-        clean: dict[TensorKey, Q] = {}
-        if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                if _key_degree(k) > truncation:
-                    continue
-                c = Q(c)
-                if c:
-                    prev = clean.get(k, Q(0)) + c
-                    if prev:
-                        clean[k] = prev
-                    elif k in clean:
-                        del clean[k]
-        self.terms = clean
 
     def coefficient(self, k: TensorKey) -> Q:
         return self.terms.get(k, Q(0))
@@ -73,17 +83,11 @@ class TensorSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorSeries):
-            return NotImplemented
-        return self.truncation == other.truncation and self.terms == other.terms
+    __eq__ = _equal
 
     def __add__(self, other):
         n = _join_truncation(self.truncation, other.truncation)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q(0)) + c
-        return TensorSeries(n, out)
+        return TensorSeries(n, _accumulate(self.terms.copy(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -91,32 +95,19 @@ class TensorSeries:
     def __mul__(self, other):
         if isinstance(other, TensorSeries):
             n = _join_truncation(self.truncation, other.truncation)
-            out: dict[TensorKey, Q] = {}
-            for (a1, b1), c1 in self.terms.items():
-                d1 = _key_degree((a1, b1))
-                for (a2, b2), c2 in other.terms.items():
-                    if d1 + _key_degree((a2, b2)) <= n:
-                        k = (_graft(a1, a2), _graft(b1, b2))
-                        out[k] = out.get(k, Q(0)) + c1 * c2
-            return TensorSeries(n, out)
-        return self._scale(other)
-
-    def __rmul__(self, other):
+            return TensorSeries(n, _tensor_product(self.terms, other.terms, n))
         return self._scale(other)
 
     def _scale(self, c):
-        c = Q(c)
-        return TensorSeries(self.truncation, {k: c * v for k, v in self.terms.items()})
+        return TensorSeries(self.truncation, _scaled(self.terms, Q(c)))
+
+    __rmul__ = _scale
 
     def __repr__(self):
-        parts = []
-        for (a, b), c in self.items():
-            sa = "1" if a is None else repr(a)
-            sb = "1" if b is None else repr(b)
-            parts.append(f"{c} {sa}(x){sb}")
-        return " + ".join(parts) if parts else "0"
+        def pair(k):
+            return "(x)".join("1" if m is None else repr(m) for m in k)
 
-    __hash__ = None
+        return _render_terms(self.items(), pair, False)
 
 
 _COPRODUCT: dict[Monomial, dict[TensorKey, int]] = {}
@@ -130,40 +121,24 @@ def coproduct_monomial(m: Monomial) -> dict[TensorKey, int]:
     if m.is_leaf:
         out = {(m, None): 1, (None, m): 1}
     else:
-        dl = coproduct_monomial(m.left)
-        dr = coproduct_monomial(m.right)
-        out = {}
-        for (a1, b1), c1 in dl.items():
-            for (a2, b2), c2 in dr.items():
-                k = (_graft(a1, a2), _graft(b1, b2))
-                out[k] = out.get(k, 0) + c1 * c2
+        out = _tensor_product(coproduct_monomial(m.left), coproduct_monomial(m.right), m.degree)
     _COPRODUCT[m] = out
     return out
 
 
 def coproduct(s: Series) -> TensorSeries:
     """Delta(s), truncated on total pair degree."""
-    n = s.truncation
-    out: dict[TensorKey, Q] = {}
-    if s.constant:
-        out[(None, None)] = s.constant
+    out: dict[TensorKey, Q] = {(None, None): s.constant}
     for m, c in s.terms.items():
-        for k, mult in coproduct_monomial(m).items():
-            out[k] = out.get(k, Q(0)) + c * mult
-    return TensorSeries(n, out)
+        _accumulate(out, coproduct_monomial(m).items(), c)
+    return TensorSeries(s.truncation, out)
 
 
 def counit(s: Series) -> Q:
     return s.constant
 
 
-def proper_components(m: Monomial):
-    """Sweedler components of Delta(m) with both factors of positive degree."""
-    return [((a, b), c) for (a, b), c in coproduct_monomial(m).items() if a is not None and b is not None]
-
-
 _LEFT_DIV: dict[tuple, dict[Monomial, int]] = {}
-_RIGHT_DIV: dict[tuple, dict[Monomial, int]] = {}
 
 
 def left_divide_monomial(u: Monomial, v) -> dict[Monomial, int]:
@@ -177,32 +152,11 @@ def left_divide_monomial(u: Monomial, v) -> dict[Monomial, int]:
     if out is not None:
         return out
     out = {_graft(u, v): -1}
-    for (a, b), c in proper_components(u):
-        for t, k in left_divide_monomial(a, _graft(b, v)).items():
-            nk = out.get(t, 0) - c * k
-            if nk:
-                out[t] = nk
-            elif t in out:
-                del out[t]
+    for (a, b), c in coproduct_monomial(u).items():
+        if a is not None and b is not None:  # a proper Sweedler component
+            _accumulate(out, left_divide_monomial(a, _graft(b, v)).items(), -c)
+    out = {t: k for t, k in out.items() if k}
     _LEFT_DIV[key] = out
-    return out
-
-
-def right_divide_monomial(v, u: Monomial) -> dict[Monomial, int]:
-    """v / u, the mirror recursion inducting on the degree of u."""
-    key = (v, u)
-    out = _RIGHT_DIV.get(key)
-    if out is not None:
-        return out
-    out = {_graft(v, u): -1}
-    for (a, b), c in proper_components(u):
-        for t, k in right_divide_monomial(_graft(v, a), b).items():
-            nk = out.get(t, 0) - c * k
-            if nk:
-                out[t] = nk
-            elif t in out:
-                del out[t]
-    _RIGHT_DIV[key] = out
     return out
 
 
@@ -210,77 +164,40 @@ def left_divide(u: Series, v: Series) -> Series:
     """Bilinear extension of the monomial-level left division; 1 \\ v = v."""
     n = _join_truncation(u.truncation, v.truncation)
     out: dict[Monomial, Q] = {}
-    const = Q(0)
     vs = list(v.terms.items())
     if v.constant:
         vs.append((None, v.constant))
     for m, cu in u.terms.items():
         for t, cv in vs:
-            if m.degree + (0 if t is None else t.degree) > n:
-                continue
-            for r, k in left_divide_monomial(m, t).items():
-                if r.degree <= n:
-                    out[r] = out.get(r, Q(0)) + cu * cv * k
+            if m.degree + (0 if t is None else t.degree) <= n:
+                _accumulate(out, left_divide_monomial(m, t).items(), cu * cv)
     if u.constant:
-        for t, cv in vs:
-            if t is None:
-                const += u.constant * cv
-            else:
-                out[t] = out.get(t, Q(0)) + u.constant * cv
-    return Series(n, out, const)
+        _accumulate(out, v.terms.items(), u.constant)
+    return Series(n, out, u.constant * v.constant)
 
 
 def right_divide(v: Series, u: Series) -> Series:
-    """Bilinear extension of the monomial-level right division; v / 1 = v."""
-    n = _join_truncation(u.truncation, v.truncation)
-    out: dict[Monomial, Q] = {}
-    const = Q(0)
-    vs = list(v.terms.items())
-    if v.constant:
-        vs.append((None, v.constant))
-    for m, cu in u.terms.items():
-        for t, cv in vs:
-            if m.degree + (0 if t is None else t.degree) > n:
-                continue
-            for r, k in right_divide_monomial(t, m).items():
-                if r.degree <= n:
-                    out[r] = out.get(r, Q(0)) + cu * cv * k
-    if u.constant:
-        for t, cv in vs:
-            if t is None:
-                const += u.constant * cv
-            else:
-                out[t] = out.get(t, Q(0)) + u.constant * cv
-    return Series(n, out, const)
+    """v / u, the left division of the opposite magma:
+    v / u = mirror(mirror(u) \\ mirror(v)); v / 1 = v."""
+    return left_divide(u.map_monomials(mirror), v.map_monomials(mirror)).map_monomials(mirror)
 
 
 def is_primitive(s: Series) -> bool:
     """Delta(s) = s(x)1 + 1(x)s and eps(s) = 0, up to the truncation."""
     if s.constant:
         return False
-    expected: dict[TensorKey, Q] = {}
-    for m, c in s.terms.items():
-        expected[(m, None)] = c
-        expected[(None, m)] = c
-    return coproduct(s).terms == expected
+    terms = s.terms.items()
+    expected = [((m, None), c) for m, c in terms] + [((None, m), c) for m, c in terms]
+    return coproduct(s) == TensorSeries(s.truncation, expected)
 
 
 def is_grouplike(s: Series) -> bool:
     """Delta(s) = s(x)s and eps(s) = 1, up to the truncation."""
     if s.constant != 1:
         return False
-    n = s.truncation
-    expected: dict[TensorKey, Q] = {(None, None): Q(1)}
-    for m, c in s.terms.items():
-        expected[(m, None)] = c
-        expected[(None, m)] = c
-    for m1, c1 in s.terms.items():
-        for m2, c2 in s.terms.items():
-            if m1.degree + m2.degree <= n:
-                k = (m1, m2)
-                expected[k] = expected.get(k, Q(0)) + c1 * c2
-    got = coproduct(s).terms
-    return got == {k: v for k, v in expected.items() if v}
+    pairs = [(None, s.constant), *s.terms.items()]  # the unit slot is None
+    expected = (((a, b), ca * cb) for a, ca in pairs for b, cb in pairs)
+    return coproduct(s) == TensorSeries(s.truncation, expected)
 
 
 def tensor_to_json(t: TensorSeries) -> dict:

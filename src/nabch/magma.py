@@ -154,15 +154,12 @@ def left_normed_power(v, n: int) -> Monomial:
     return out
 
 
-def right_normed_power(v, n: int) -> Monomial:
-    """The right-normed n-th power v(v(...(vv))); n >= 1."""
-    if n < 1:
-        raise ValueError("right_normed_power needs n >= 1")
-    base = leaf(v) if isinstance(v, str) else v
-    out = base
-    for _ in range(n - 1):
-        out = node(base, out)
-    return out
+def mirror(m: Monomial) -> Monomial:
+    """m reflected left to right, the anti-automorphism (ab) -> mirror(b) mirror(a)
+    of the free magma; it keeps the degree and the multidegree."""
+    if m.is_leaf:
+        return m
+    return node(mirror(m.right), mirror(m.left))
 
 
 def word_letters(m: Monomial) -> tuple[str, ...]:
@@ -232,22 +229,9 @@ def parse(text: str) -> Monomial:
 
 def _as_power(m: Monomial):
     """(v, n) if m is the left-normed n-th power of a generator, else None."""
-    n = 0
-    cur = m
-    while not cur.is_leaf:
-        if not cur.right.is_leaf or cur.right.var != _leftmost(m):
-            return None
-        n += 1
-        cur = cur.left
-    if cur.var != _leftmost(m):
-        return None
-    return (cur.var, n + 1)
-
-
-def _leftmost(m: Monomial) -> str:
-    while not m.is_leaf:
-        m = m.left
-    return m.var
+    if len(m.vars) == 1 and is_left_normed_word(m):
+        return (m.vars[0], m.degree)
+    return None
 
 
 def _latex(m: Monomial) -> str:

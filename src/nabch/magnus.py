@@ -25,7 +25,6 @@ from .suops import (
     PrimCombo,
     PrimExpr,
     eval_prim,
-    expr_degree,
     phi_expr,
     su_bracket,
     su_bracket_expr,
@@ -130,14 +129,6 @@ def tau_inverse(u: Series, v: Series) -> Series:
     return _weighted_sum(u, v, n_coeff)
 
 
-def _bracket_combo(prefix_exprs, y_expr: PrimExpr, z: PrimCombo) -> PrimCombo:
-    out = {}
-    for e, c in z.terms.items():
-        k = su_bracket_expr(prefix_exprs, y_expr, e)
-        out[k] = out.get(k, Q(0)) + c
-    return PrimCombo(out)
-
-
 @lru_cache(maxsize=None)
 def tau_components(n: int) -> tuple[PrimCombo, ...]:
     """tau_0 .. tau_n of the tangent map, as primitive-operation combinations.
@@ -146,11 +137,13 @@ def tau_components(n: int) -> tuple[PrimCombo, ...]:
     """
     taus = [PrimCombo.single(GY)]
     for k in range(1, n + 1):
-        acc = PrimCombo()
+        pairs = []
         for i in range(1, k + 1):
-            bracket = _bracket_combo((GX,) * (k - i), GX, taus[i - 1])
-            acc = acc + Q(1, (k + 1) * factorial(k - i)) * bracket
-        taus.append(acc)
+            scale = Q(1, (k + 1) * factorial(k - i))
+            prefix = (GX,) * (k - i)
+            for e, c in taus[i - 1].terms.items():
+                pairs.append((su_bracket_expr(prefix, GX, e), scale * c))
+        taus.append(PrimCombo(pairs))
     return tuple(taus)
 
 
@@ -159,10 +152,7 @@ def tau_exp_l(n: int) -> Series:
 
     Cross-checks against gamma_{y d/dx}(exp_l(x)).
     """
-    out = Series.zero(n + 1)
-    for tau in tau_components(n):
-        out = out + tau.evaluate(n + 1)
-    return out
+    return PrimCombo([kv for tau in tau_components(n) for kv in tau.terms.items()]).evaluate(n + 1)
 
 
 def _prune_zero_eval(combo: PrimCombo) -> PrimCombo:
@@ -170,20 +160,17 @@ def _prune_zero_eval(combo: PrimCombo) -> PrimCombo:
     tail slots produced by multilinear expansion)."""
     out = {}
     for e, c in combo.terms.items():
-        if not eval_prim(e, expr_degree(e)).is_zero():
+        if not eval_prim(e, e.degree).is_zero():
             out[e] = c
     return PrimCombo(out)
 
 
 def tau_inverse_combo(n: int) -> PrimCombo:
     """y + sum n_J P_J(x;y) up to total degree n, symbolically."""
-    out = PrimCombo.single(GY)
+    pairs = [(GY, Q(1))]
     for weight in range(1, n):
-        for j in compositions(weight):
-            c = n_coeff(j)
-            if c:
-                out = out + PrimCombo.single(p_nested_expr(j), c)
-    return _prune_zero_eval(out)
+        pairs += [(p_nested_expr(j), n_coeff(j)) for j in compositions(weight)]
+    return _prune_zero_eval(PrimCombo(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +268,10 @@ def bch_ode(n: int) -> PrimCombo:
         raise ValueError("degree must be >= 1")
     driver: dict[int, PrimCombo] = {0: PrimCombo.single(GY)}
     for k in range(1, n - 1):
-        acc = PrimCombo()
-        for m in range(1, n - k):
-            acc = acc + PrimCombo.single(
-                phi_expr((GX,) * m, (GY,) * (k + 1)), -Q(1, factorial(m) * factorial(k))
-            )
+        acc = PrimCombo(
+            (phi_expr((GX,) * m, (GY,) * (k + 1)), -Q(1, factorial(m) * factorial(k)))
+            for m in range(1, n - k)
+        )
         if not acc.is_zero():
             driver[k] = acc
 
@@ -293,7 +279,7 @@ def bch_ode(n: int) -> PrimCombo:
     omega_terms = [_by_degree(omega[0])]
     driver_terms = {k: _by_degree(d) for k, d in driver.items()}
     for k in range(n):
-        rhs = dict(driver[k].terms) if k in driver else {}
+        rhs = driver[k].terms.copy() if k in driver else {}
         for weight in range(1, n):
             for j in compositions(weight):
                 nj = n_coeff(j)
@@ -313,10 +299,7 @@ def bch_ode(n: int) -> PrimCombo:
         omega.append(_prune_zero_eval(part))
         omega_terms.append(_by_degree(omega[-1]))
 
-    total = PrimCombo()
-    for part in omega:
-        total = total + part
-    return total.up_to(n)
+    return PrimCombo([kv for part in omega for kv in part.terms.items()]).up_to(n)
 
 
 @lru_cache(maxsize=None)
@@ -384,9 +367,10 @@ def magnus_solve(a: TimeSeries, n_t: int, n_deg: int) -> TimeSeries:
                     a_part = coeffs[a_ord] if a_ord < len(coeffs) else None
                     if a_part is None or a_part.is_zero():
                         continue
-                    # Omega slots take order >= 1 since Omega(0) = 0
-                    for orders in _positive_distributions(k - a_ord, weight):
-                        slots = [omega[o] for o in orders]
+                    # Omega slots take order >= 1 since Omega(0) = 0: slot i
+                    # takes o_i + 1 for a distribution o of what is left over
+                    for orders in _distributions(k - a_ord - weight, weight):
+                        slots = [omega[o + 1] for o in orders]
                         if any(s.is_zero() for s in slots):
                             continue
                         inner = a_part
@@ -401,14 +385,3 @@ def magnus_solve(a: TimeSeries, n_t: int, n_deg: int) -> TimeSeries:
                             rhs = rhs + nj * inner
         omega.append(rhs / (k + 1))
     return TimeSeries(tuple(omega))
-
-
-@lru_cache(maxsize=None)
-def _positive_distributions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
-    if slots == 1:
-        return ((total,),) if total >= 1 else ()
-    out = []
-    for first in range(1, total - slots + 2):
-        for rest in _positive_distributions(total - first, slots - 1):
-            out.append((first,) + rest)
-    return tuple(out)

@@ -12,13 +12,16 @@ breaks the tree-indexed logarithm.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from fractions import Fraction
 from math import comb, factorial
+from types import MappingProxyType
 
 from .magma import (
     Monomial,
     enumerate_monomials,
+    format_monomial,
     leaf,
     monomial_from_json,
     monomial_to_json,
@@ -43,34 +46,77 @@ def _join_truncation(a: int, b: int) -> int:
     return min(a, b)
 
 
+# ---------------------------------------------------------------------------
+# The sparse exact linear-combination core.  Series, AssocSeries, TensorSeries
+# and PrimCombo are finite rational combinations over a graded basis: a
+# read-only map from basis key to nonzero Fraction, built by _normalise.  The
+# functions below do the work the four classes share; each class adds only
+# its key type, canonical order, product and constant.
+
+
+def _normalise(terms, cap=None, degree=None) -> MappingProxyType:
+    """The normalised terms of an iterable of (key, coefficient) pairs or a
+    mapping: repeated keys merged, zeros dropped, and keys of degree above
+    ``cap`` dropped (``cap`` None keeps every key).  ``degree(key)`` gives a
+    key's degree and defaults to ``key.degree``.
+
+    The result is read-only, so a cached value cannot be edited by a caller.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError("truncation degree must be >= 1")
+    clean = {}
+    if terms:
+        for k, c in (terms.items() if isinstance(terms, (dict, MappingProxyType)) else terms):
+            if cap is not None and (k.degree if degree is None else degree(k)) > cap:
+                continue
+            if type(c) is not Fraction:
+                c = Q(c)
+            if c:
+                prev = clean.get(k)
+                if prev is None:
+                    clean[k] = c
+                else:
+                    c = prev + c
+                    if c:
+                        clean[k] = c
+                    else:
+                        del clean[k]
+    return MappingProxyType(clean)
+
+
+def _accumulate(out: dict, pairs, scale=None) -> dict:
+    """Add ``scale * c`` (``c`` if ``scale`` is None) into ``out`` for every
+    (key, c) of ``pairs``, in place; zeros are left for :func:`_normalise`."""
+    for k, c in pairs:
+        if scale is not None:
+            c = scale * c
+        prev = out.get(k)
+        out[k] = c if prev is None else prev + c
+    return out
+
+
+def _equal(a, b):
+    """a == b for two combinations: the same class and equal slots, that is
+    equal terms and, where the class has them, truncation and constant."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(getattr(a, k) == getattr(b, k) for k in a.__slots__)
+
+
+def _scaled(terms, c: Q) -> dict:
+    """The Fraction ``c`` times every coefficient of ``terms``."""
+    return {k: c * v for k, v in terms.items()}
+
+
 class Series:
-    """Sparse truncated series; immutable by convention."""
+    """Sparse truncated series; ``terms`` is read-only."""
 
     __slots__ = ("truncation", "constant", "terms")
 
     def __init__(self, truncation: int, terms=None, constant=0):
-        if truncation < 1:
-            raise ValueError("truncation degree must be >= 1")
+        self.terms = _normalise(terms, truncation)
         self.truncation = truncation
         self.constant = constant if type(constant) is Fraction else Q(constant)
-        clean: dict[Monomial, Q] = {}
-        if terms:
-            for m, c in (terms.items() if isinstance(terms, dict) else terms):
-                if m.degree > truncation:
-                    continue
-                if type(c) is not Fraction:
-                    c = Q(c)
-                if c:
-                    prev = clean.get(m)
-                    if prev is None:
-                        clean[m] = c
-                    else:
-                        c = prev + c
-                        if c:
-                            clean[m] = c
-                        else:
-                            del clean[m]
-        self.terms = clean
 
     @classmethod
     def zero(cls, truncation: int) -> "Series":
@@ -118,33 +164,19 @@ class Series:
         return Series(self.truncation, {m: c for m, c in self.terms.items() if m.degree == d})
 
     def truncate(self, n: int) -> "Series":
-        return Series(n, {m: c for m, c in self.terms.items() if m.degree <= n}, self.constant)
+        return Series(n, self.terms, self.constant)
 
     def map_monomials(self, f) -> "Series":
         """Linear extension of a monomial map f: Monomial -> Monomial."""
-        out: dict[Monomial, Q] = {}
-        for m, c in self.terms.items():
-            t = f(m)
-            out[t] = out.get(t, Q(0)) + c
-        return Series(self.truncation, out, self.constant)
+        return Series(self.truncation, ((f(m), c) for m, c in self.terms.items()), self.constant)
 
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.constant == other.constant
-            and self.terms == other.terms
-        )
+    __eq__ = _equal
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         n = _join_truncation(self.truncation, other.truncation)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
+        out = _accumulate(self.terms.copy(), other.terms.items())
         return Series(n, out, self.constant + other.constant)
 
     def __sub__(self, other):
@@ -159,37 +191,26 @@ class Series:
             return _mul(self, other, n)
         return self._scale(other)
 
-    def __rmul__(self, other):
-        return self._scale(other)
+    def _scale(self, c) -> "Series":
+        c = Q(c)
+        return Series(self.truncation, _scaled(self.terms, c), c * self.constant)
+
+    __rmul__ = _scale
 
     def __truediv__(self, other):
         return self._scale(Q(1, 1) / Q(other))
 
-    def _scale(self, c) -> "Series":
-        c = Q(c)
-        if not c:
-            return Series(self.truncation)
-        return Series(
-            self.truncation, {m: c * v for m, v in self.terms.items()}, c * self.constant
-        )
-
     def __repr__(self):
         return format_series(self)
-
-    __hash__ = None
 
 
 def _mul(a: Series, b: Series, n: int) -> Series:
     out: dict[Monomial, Q] = {}
     ca, cb = a.constant, b.constant
     if ca:
-        for m, c in b.terms.items():
-            if m.degree <= n:
-                out[m] = out.get(m, Q(0)) + ca * c
+        _accumulate(out, b.terms.items(), ca)
     if cb:
-        for m, c in a.terms.items():
-            if m.degree <= n:
-                out[m] = out.get(m, Q(0)) + cb * c
+        _accumulate(out, a.terms.items(), cb)
     for ma, va in a.terms.items():
         da = ma.degree
         if da >= n:
@@ -204,18 +225,12 @@ def _mul(a: Series, b: Series, n: int) -> Series:
 
 def mono_mul(m: Monomial, s: Series) -> Series:
     """m * s, the monomial acting on the left."""
-    out = {node(m, t): c for t, c in s.terms.items() if m.degree + t.degree <= s.truncation}
-    if s.constant and m.degree <= s.truncation:
-        out[m] = out.get(m, Q(0)) + s.constant
-    return Series(s.truncation, out)
+    return Series.monomial(m, s.truncation) * s
 
 
 def mul_mono(s: Series, m: Monomial) -> Series:
     """s * m, the monomial acting on the right."""
-    out = {node(t, m): c for t, c in s.terms.items() if m.degree + t.degree <= s.truncation}
-    if s.constant and m.degree <= s.truncation:
-        out[m] = out.get(m, Q(0)) + s.constant
-    return Series(s.truncation, out)
+    return s * Series.monomial(m, s.truncation)
 
 
 def left_normed_product(factors) -> Series:
@@ -309,9 +324,7 @@ def log_l_series(n: int) -> Series:
         terms = {}
         for d in range(1, n + 1):
             for m in enumerate_monomials(d, ("x",)):
-                c = b_tau(m) / tau_factorial(m)
-                if c:
-                    terms[m] = c
+                terms[m] = b_tau(m) / tau_factorial(m)
         out = Series(n, terms)
         _LOG_SERIES[n] = out
     return out
@@ -338,7 +351,8 @@ def substitute(f: Series, u: Series) -> Series:
     out: dict[Monomial, Q] = {}
     for m, c in f.terms.items():
         for t, v in _subst(m, n, u, memo).items():
-            out[t] = out.get(t, Q(0)) + c * v
+            prev = out.get(t)
+            out[t] = c * v if prev is None else prev + c * v
     return Series(n, out, f.constant)
 
 
@@ -362,7 +376,8 @@ def _subst(m: Monomial, budget: int, u: Series, memo: dict) -> dict[Monomial, Q]
             for b, cb in dr.items():
                 if da + b.degree <= budget:
                     t = node(a, b)
-                    out[t] = out.get(t, Q(0)) + ca * cb
+                    prev = out.get(t)
+                    out[t] = ca * cb if prev is None else prev + ca * cb
     memo[key] = out
     return out
 
@@ -412,28 +427,14 @@ def log_l(s: Series, n: int | None = None) -> Series:
 
 
 class AssocSeries:
-    """Truncated series on flat words over {x, y}."""
+    """Truncated series on flat words over {x, y}; ``terms`` is read-only."""
 
     __slots__ = ("truncation", "constant", "terms")
 
     def __init__(self, truncation: int, terms=None, constant=0):
-        if truncation < 1:
-            raise ValueError("truncation degree must be >= 1")
+        self.terms = _normalise(terms, truncation, len)
         self.truncation = truncation
         self.constant = Q(constant)
-        clean: dict[str, Q] = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                if len(w) > truncation:
-                    continue
-                c = Q(c)
-                if c:
-                    prev = clean.get(w, Q(0)) + c
-                    if prev:
-                        clean[w] = prev
-                    elif w in clean:
-                        del clean[w]
-        self.terms = clean
 
     @classmethod
     def zero(cls, truncation: int) -> "AssocSeries":
@@ -450,20 +451,11 @@ class AssocSeries:
     def is_zero(self) -> bool:
         return not self.terms and not self.constant
 
-    def __eq__(self, other):
-        if not isinstance(other, AssocSeries):
-            return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.constant == other.constant
-            and self.terms == other.terms
-        )
+    __eq__ = _equal
 
     def __add__(self, other):
         n = _join_truncation(self.truncation, other.truncation)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Q(0)) + c
+        out = _accumulate(self.terms.copy(), other.terms.items())
         return AssocSeries(n, out, self.constant + other.constant)
 
     def __sub__(self, other):
@@ -475,34 +467,21 @@ class AssocSeries:
     def __mul__(self, other):
         if isinstance(other, AssocSeries):
             n = _join_truncation(self.truncation, other.truncation)
-            out: dict[str, Q] = {}
-            if self.constant:
-                for w, c in other.terms.items():
-                    out[w] = out.get(w, Q(0)) + self.constant * c
-            if other.constant:
-                for w, c in self.terms.items():
-                    out[w] = out.get(w, Q(0)) + other.constant * c
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    if len(wa) + len(wb) <= n:
-                        w = wa + wb
-                        out[w] = out.get(w, Q(0)) + ca * cb
-            return AssocSeries(n, out, self.constant * other.constant)
-        return self._scale(other)
-
-    def __rmul__(self, other):
+            a, b = self.terms.items(), other.terms.items()
+            pairs = [(wa + wb, ca * cb) for wa, ca in a for wb, cb in b if len(wa) + len(wb) <= n]
+            pairs += [(w, self.constant * c) for w, c in b]
+            pairs += [(w, other.constant * c) for w, c in a]
+            return AssocSeries(n, pairs, self.constant * other.constant)
         return self._scale(other)
 
     def _scale(self, c) -> "AssocSeries":
         c = Q(c)
-        return AssocSeries(
-            self.truncation, {w: c * v for w, v in self.terms.items()}, c * self.constant
-        )
+        return AssocSeries(self.truncation, _scaled(self.terms, c), c * self.constant)
+
+    __rmul__ = _scale
 
     def __repr__(self):
-        return format_assoc_series(self)
-
-    __hash__ = None
+        return _render_terms(self.items(), str, False, self.constant)
 
 
 _WORD: dict[Monomial, str] = {}
@@ -518,11 +497,7 @@ def _word(m: Monomial) -> str:
 
 def project_associative(s: Series) -> AssocSeries:
     """Forget parentheses; a unital algebra homomorphism onto k<<x,y>>."""
-    out: dict[str, Q] = {}
-    for m, c in s.terms.items():
-        w = _word(m)
-        out[w] = out.get(w, Q(0)) + c
-    return AssocSeries(s.truncation, out, s.constant)
+    return AssocSeries(s.truncation, ((_word(m), c) for m, c in s.terms.items()), s.constant)
 
 
 def _gamma_word(word: str, n: int) -> dict[str, Q]:
@@ -532,8 +507,7 @@ def _gamma_word(word: str, n: int) -> dict[str, Q]:
         nxt: dict[str, Q] = {}
         for w, c in out.items():
             if len(w) + 1 <= n:
-                nxt[w + ch] = nxt.get(w + ch, Q(0)) + c
-                nxt[ch + w] = nxt.get(ch + w, Q(0)) - c
+                _accumulate(nxt, ((w + ch, c), (ch + w, -c)))
         out = nxt
     return out
 
@@ -561,39 +535,25 @@ def dynkin_bch(n: int) -> AssocSeries:
             for comp in _compositions_of(total, blocks):
                 # split each block p into x^r y^s with r + s = p
                 choices = [[(r, p - r) for r in range(p + 1)] for p in comp]
-                for pick in _product(choices):
+                for pick in itertools.product(*choices):
                     coeff = Q((-1) ** (blocks - 1), blocks) / total
                     word = ""
                     for r, s in pick:
                         coeff /= factorial(r) * factorial(s)
                         word += "x" * r + "y" * s
-                    for w, c in _gamma_word(word, n).items():
-                        out[w] = out.get(w, Q(0)) + coeff * c
+                    _accumulate(out, _gamma_word(word, n).items(), coeff)
     return AssocSeries(n, out)
-
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for rest in _product(choices[1:]):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------
 # Rendering and JSON.
 
 
-def format_coeff(c: Q) -> str:
-    return str(c)
-
-
-def parse_coeff(text) -> Q:
-    return Q(text)
-
-
-def _render_terms(pairs, render_key, latex: bool) -> str:
+def _render_terms(pairs, render_key, latex: bool, constant=0) -> str:
+    """Text of a combination: the constant, if nonzero, then the (key,
+    coefficient) ``pairs`` in the order given."""
+    if constant:
+        pairs = [(None, constant)] + pairs
     chunks = []
     for key, c in pairs:
         neg = c < 0
@@ -619,32 +579,17 @@ def _coeff_str(c: Q, latex: bool) -> str:
 
 def format_series(s: Series, style: str = "compact") -> str:
     latex = style == "latex"
-    pairs = []
-    if s.constant:
-        pairs.append((None, s.constant))
-    pairs.extend(s.items())
-    from .magma import format_monomial
-
     return _render_terms(
-        pairs, lambda m: format_monomial(m, "latex" if latex else "compact"), latex
+        s.items(), lambda m: format_monomial(m, "latex" if latex else "compact"), latex, s.constant
     )
-
-
-def format_assoc_series(s: AssocSeries, style: str = "compact") -> str:
-    latex = style == "latex"
-    pairs = []
-    if s.constant:
-        pairs.append((None, s.constant))
-    pairs.extend(s.items())
-    return _render_terms(pairs, lambda w: w, latex)
 
 
 def series_to_json(s: Series) -> dict:
     return {
         "truncation": s.truncation,
-        "constant": format_coeff(s.constant),
+        "constant": str(s.constant),
         "terms": [
-            {"monomial": monomial_to_json(m), "coeff": format_coeff(c)} for m, c in s.items()
+            {"monomial": monomial_to_json(m), "coeff": str(c)} for m, c in s.items()
         ],
     }
 
@@ -652,6 +597,6 @@ def series_to_json(s: Series) -> dict:
 def series_from_json(data: dict) -> Series:
     return Series(
         int(data["truncation"]),
-        {monomial_from_json(t["monomial"]): parse_coeff(t["coeff"]) for t in data["terms"]},
-        parse_coeff(data.get("constant", 0)),
+        {monomial_from_json(t["monomial"]): Q(t["coeff"]) for t in data["terms"]},
+        Q(data.get("constant", 0)),
     )

@@ -23,7 +23,16 @@ from itertools import permutations
 from math import factorial
 
 from . import hopf
-from .series import Q, Series, left_normed_product
+from .series import (
+    Q,
+    Series,
+    _accumulate,
+    _equal,
+    _normalise,
+    _render_terms,
+    _scaled,
+    left_normed_product,
+)
 
 
 def associator(a: Series, b: Series, c: Series) -> Series:
@@ -35,7 +44,7 @@ def p_series(u: Series, v: Series, z: Series) -> Series:
     n = min(u.truncation, v.truncation, z.truncation)
     du = hopf.coproduct(u)
     dv = hopf.coproduct(v)
-    out = Series.zero(n)
+    out: dict = {}
     unit = Series.one(n)
     for (a, b), cu in du.terms.items():
         if b is None:
@@ -51,8 +60,9 @@ def p_series(u: Series, v: Series, z: Series) -> Series:
             if assoc.is_zero():
                 continue
             left = unit if w is None else Series.monomial(w, n)
-            out = out + (cu * cv) * hopf.left_divide(left, assoc)
-    return out
+            # the associator, and so this quotient, has no constant term
+            _accumulate(out, hopf.left_divide(left, assoc).terms.items(), cu * cv)
+    return Series(n, out)
 
 
 def su_bracket_series(u: Series, y: Series, z: Series) -> Series:
@@ -370,49 +380,28 @@ def parse_prim_expr(text: str) -> PrimExpr:
 
 
 class PrimCombo:
-    """A rational linear combination of primitive-operation expressions."""
+    """A rational linear combination of primitive-operation expressions;
+    ``terms`` is read-only."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[PrimExpr, Q] = {}
-        if terms:
-            for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if type(c) is not Fraction:
-                    c = Q(c)
-                if c:
-                    prev = clean.get(e)
-                    if prev is None:
-                        clean[e] = c
-                    else:
-                        c = prev + c
-                        if c:
-                            clean[e] = c
-                        else:
-                            del clean[e]
-        self.terms = clean
+        self.terms = _normalise(terms)
 
     @classmethod
     def single(cls, e: PrimExpr, coeff=1) -> "PrimCombo":
         return cls({e: Q(coeff)})
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda kv: (expr_degree(kv[0]), expr_to_text(kv[0])))
+        return sorted(self.terms.items(), key=lambda kv: (kv[0].degree, expr_to_text(kv[0])))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, PrimCombo):
-            return NotImplemented
-        return self.terms == other.terms
+    __eq__ = _equal
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            out[e] = c if prev is None else prev + c
-        return PrimCombo(out)
+        return PrimCombo(_accumulate(self.terms.copy(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -421,19 +410,18 @@ class PrimCombo:
         return (-1) * self
 
     def __mul__(self, c):
-        c = Q(c)
-        return PrimCombo({e: c * v for e, v in self.terms.items()})
+        return PrimCombo(_scaled(self.terms, Q(c)))
 
     __rmul__ = __mul__
 
     def component(self, d: int) -> "PrimCombo":
-        return PrimCombo({e: c for e, c in self.terms.items() if expr_degree(e) == d})
+        return PrimCombo({e: c for e, c in self.terms.items() if e.degree == d})
 
     def up_to(self, d: int) -> "PrimCombo":
-        return PrimCombo({e: c for e, c in self.terms.items() if expr_degree(e) <= d})
+        return PrimCombo({e: c for e, c in self.terms.items() if e.degree <= d})
 
     def max_degree(self) -> int:
-        return max((expr_degree(e) for e in self.terms), default=0)
+        return max((e.degree for e in self.terms), default=0)
 
     def evaluate(self, n: int) -> Series:
         acc: dict = {}
@@ -446,21 +434,7 @@ class PrimCombo:
         return Series(n, acc)
 
     def to_text(self, latex: bool = False) -> str:
-        render = expr_to_latex if latex else expr_to_text
-        chunks = []
-        for e, c in self.items():
-            neg = c < 0
-            mag = -c if neg else c
-            if latex and mag.denominator != 1:
-                cs = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            else:
-                cs = str(mag)
-            body = render(e) if mag == 1 else f"{cs}{'' if latex else ' '}{render(e)}"
-            if not chunks:
-                chunks.append(("-" if neg else "") + body)
-            else:
-                chunks.append(("- " if neg else "+ ") + body)
-        return " ".join(chunks) if chunks else "0"
+        return _render_terms(self.items(), expr_to_latex if latex else expr_to_text, latex)
 
     def to_json(self) -> list:
         return [{"coeff": str(c), "expr": expr_to_text(e)} for e, c in self.items()]
@@ -471,5 +445,3 @@ class PrimCombo:
 
     def __repr__(self):
         return self.to_text()
-
-    __hash__ = None

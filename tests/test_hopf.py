@@ -122,7 +122,7 @@ def test_division_homogeneity():
     assert all(t.degree == 3 for t in d)
 
 
-@pytest.mark.parametrize("du", range(1, 5))
+@pytest.mark.parametrize("du", range(1, 6))
 def test_division_identities_all_four(du):
     n = du + 2
     for u in enumerate_monomials(du):

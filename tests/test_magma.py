@@ -9,6 +9,7 @@ from nabch.magma import (
     format_monomial,
     leaf,
     left_normed_power,
+    mirror,
     monomial_from_json,
     monomial_to_json,
     multidegree,
@@ -103,6 +104,17 @@ def test_degree_is_additive():
         for m in enumerate_monomials(n):
             assert m.degree == m.left.degree + m.right.degree
             assert m.xdeg + m.ydeg == m.degree
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mirror_is_an_anti_automorphic_involution(n):
+    for m in enumerate_monomials(n):
+        r = mirror(m)
+        assert mirror(r) is m
+        assert (r.degree, r.xdeg, r.ydeg) == (m.degree, m.xdeg, m.ydeg)
+        if not m.is_leaf:
+            assert r is node(mirror(m.right), mirror(m.left))
+    assert mirror(parse("((xx)y)")) is parse("(y(xx))")
 
 
 # -- enumeration and ordering

@@ -297,3 +297,30 @@ def test_series_json_accepts_integer_coefficients():
     data = {"truncation": 2, "constant": "2", "terms": [{"monomial": "x", "coeff": 3}]}
     s = series_from_json(data)
     assert s.constant == 2 and s.coefficient(X) == 3
+
+
+# -- cached values
+
+
+def test_cached_values_are_read_only():
+    from nabch.magnus import bch_ode, tau_components
+    from nabch.suops import GX, GY, eval_prim, su_bracket_expr
+
+    e = su_bracket_expr([GX], GX, GY)
+    cached = [
+        bch_monomial(3),
+        bch_ode(3),
+        log_l_series(3),
+        eval_prim(e, e.degree),
+        tau_components(2)[2],
+    ]
+    for value in cached:
+        key = next(iter(value.terms))
+        before = dict(value.terms)
+        with pytest.raises(TypeError):
+            value.terms[key] = F(7)
+        with pytest.raises(TypeError):
+            del value.terms[key]
+        assert dict(value.terms) == before
+    assert bch_monomial(3) is cached[0] and bch_monomial(3).coefficient(X) == 1
+    assert eval_prim(e, e.degree) is cached[3]
