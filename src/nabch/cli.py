@@ -37,6 +37,10 @@ DEFAULT_CAP = 8
 # degree 6 and about 30 s at degree 7, against 5 s for the monomial route at 8.
 PRIMITIVE_CAP = 6
 PRIMITIVE_NOTE = " of the primitive route, which took about 30 s at degree 7"
+# The cut route's left-spine recurrence takes about 3 ms for the slowest
+# degree-32 coefficient on the same machine; the cap keeps it bounded.
+CUTS_CAP = 32
+CUTS_NOTE = " of the cut route"
 CAP_ENV = "BCH_MAX_DEGREE"
 
 
@@ -138,7 +142,10 @@ def cmd_coeff(args) -> int:
         m = parse(args.monomial)
     except ParseError as exc:
         raise UsageError(f"bad monomial: {exc}")
-    _check_degree(m.degree, args.max_degree)
+    if args.method == "cuts":
+        _check_degree(m.degree, args.max_degree, CUTS_CAP, CUTS_NOTE)
+    else:
+        _check_degree(m.degree, args.max_degree)
     params = {"monomial": args.monomial, "method": args.method}
     if args.method == "cuts":
         value = coefficient_via_cuts(m)
@@ -278,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 f"override the degree cap (default {DEFAULT_CAP}, {PRIMITIVE_CAP} for "
-                f"expand --basis primitive|both; env {CAP_ENV})"
+                f"expand --basis primitive|both, {CUTS_CAP} for coeff --method cuts; "
+                f"env {CAP_ENV})"
             ),
         )
 

@@ -10,6 +10,18 @@ shapes occurring inside exp_l(x) exp_l(y) — gives the BCH-cuts, and
         = sum over BCH-cuts of  c_tau / (i_1! ... i_l! j_1! ... j_l!)
 
 with c_tau = B_tau/tau! the coefficient of tau in log_l(1+x).
+
+The sum is computed without listing the cuts.  A skeleton with left spine
+((x tau_1) ...) tau_k has c_tau = B_k/k! c_{tau_1} ... c_{tau_k}, since
+B_tau and tau! both factor over the spine.  A cut of w whose skeleton has
+spine length k therefore splits w as ((w_0 t_1) t_2 ...) t_k, keeps w_0 as
+one branch, and cuts each t_i independently, so the sum factors into
+
+    F(w) = sum_k [w_0 = x^i y^j] B_k / (k! i! j!) F(t_1) ... F(t_k)
+
+over k = 0 .. the length of w's left spine.  :func:`enumerate_cuts` and
+:func:`enumerate_bch_cuts` list the cuts themselves, for the checks and as
+the test oracle of the recurrence.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .magma import Monomial, is_left_normed_word, leaf, left_normed_power, node
-from .series import Q, b_tau, tau_factorial
+from .series import Q, b_tau, bernoulli, tau_factorial
 
 _SLOT = leaf("x")  # skeletons are one-variable shapes
 
@@ -105,19 +117,42 @@ def c_tau(skeleton: Monomial) -> Q:
     return b_tau(skeleton) / tau_factorial(skeleton)
 
 
+_COEFF: dict[Monomial, Q] = {}
+
+
 def coefficient_via_cuts(w: Monomial) -> Q:
-    """The BCH coefficient of w, summed monomial-by-monomial over BCH-cuts."""
-    total = Q(0)
-    for cut in enumerate_bch_cuts(w):
-        ct = c_tau(cut.skeleton)
-        if not ct:
-            continue
-        denom = 1
-        for b in cut.branches:
-            i, j = xiyj_shape(b)
-            denom *= factorial(i) * factorial(j)
-        total += ct / denom
-    return total
+    """The BCH coefficient of w, summed over its BCH-cuts without listing them.
+
+    For each k up to the length of w's left spine, write w as
+    ((w_0 t_1) t_2 ...) t_k.  A BCH-cut whose skeleton has spine length k
+    keeps w_0 whole as a branch of shape x^i y^j and cuts each t_i on its
+    own; its term c_tau / prod(i! j!) is B_k/(k! i! j!) times the terms of
+    those cuts of the t_i.  Summed over them, this gives
+
+        F(w) = sum_k [w_0 = x^i y^j] B_k/(k! i! j!) F(t_1) ... F(t_k).
+
+    The k with B_k = 0 add nothing, and the walk stops once a factor F(t_i)
+    is zero.  Values are memoised per monomial.
+    """
+    out = _COEFF.get(w)
+    if out is not None:
+        return out
+    out = Q(0)
+    base, above, k = w, Q(1), 0  # above = F(t_1)...F(t_k) of the stripped factors
+    while True:
+        b = bernoulli(k)
+        if b:
+            shape = xiyj_shape(base)
+            if shape is not None:
+                out += b * above / (factorial(k) * factorial(shape[0]) * factorial(shape[1]))
+        if base.is_leaf:
+            break
+        above *= coefficient_via_cuts(base.right)
+        if not above:
+            break
+        base, k = base.left, k + 1
+    _COEFF[w] = out
+    return out
 
 
 def closed_form_xmyn(m: int, n: int) -> Q:

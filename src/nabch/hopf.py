@@ -14,6 +14,7 @@ non-associative setting.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .magma import Monomial, mirror, monomial_from_json, monomial_to_json, node
 from .series import (
@@ -110,11 +111,12 @@ class TensorSeries:
         return _render_terms(self.items(), pair, False)
 
 
-_COPRODUCT: dict[Monomial, dict[TensorKey, int]] = {}
+_COPRODUCT: dict[Monomial, MappingProxyType] = {}
 
 
-def coproduct_monomial(m: Monomial) -> dict[TensorKey, int]:
-    """Delta(m) as an exact integer combination of tensor pairs."""
+def coproduct_monomial(m: Monomial) -> MappingProxyType:
+    """Delta(m) as an exact integer combination of tensor pairs, read-only
+    because it is cached."""
     out = _COPRODUCT.get(m)
     if out is not None:
         return out
@@ -122,6 +124,7 @@ def coproduct_monomial(m: Monomial) -> dict[TensorKey, int]:
         out = {(m, None): 1, (None, m): 1}
     else:
         out = _tensor_product(coproduct_monomial(m.left), coproduct_monomial(m.right), m.degree)
+    out = MappingProxyType(out)
     _COPRODUCT[m] = out
     return out
 
@@ -138,11 +141,12 @@ def counit(s: Series) -> Q:
     return s.constant
 
 
-_LEFT_DIV: dict[tuple, dict[Monomial, int]] = {}
+_LEFT_DIV: dict[tuple, MappingProxyType] = {}
 
 
-def left_divide_monomial(u: Monomial, v) -> dict[Monomial, int]:
-    """u \\ v for a monomial u and a monomial-or-unit v (v = None is the unit).
+def left_divide_monomial(u: Monomial, v) -> MappingProxyType:
+    """u \\ v for a monomial u and a monomial-or-unit v (v = None is the unit),
+    read-only because it is cached.
 
     Computed by induction on the degree of u:
     u \\ v = -uv - sum' u'_(1) \\ (u'_(2) v) over proper Sweedler components.
@@ -155,7 +159,7 @@ def left_divide_monomial(u: Monomial, v) -> dict[Monomial, int]:
     for (a, b), c in coproduct_monomial(u).items():
         if a is not None and b is not None:  # a proper Sweedler component
             _accumulate(out, left_divide_monomial(a, _graft(b, v)).items(), -c)
-    out = {t: k for t, k in out.items() if k}
+    out = MappingProxyType({t: k for t, k in out.items() if k})
     _LEFT_DIV[key] = out
     return out
 

@@ -63,22 +63,18 @@ def m_coeff(j: Composition) -> Q:
 
 @lru_cache(maxsize=None)
 def n_coeff(j: Composition) -> Q:
-    """Alternating sum of m-products over all concatenation factorizations."""
+    """The alternating sum of m-products over all concatenation
+    factorizations, by the suffix recurrence it satisfies: splitting off the
+    first block J[:i] gives n_J = -sum_{i=1..s} m_{J[:i]} n_{J[i:]}, with
+    n_() = 1.  The suffixes are filled shortest first, O(s^2) products."""
     s = len(j)
-    out = Q(0)
-    for mask in range(1 << (s - 1)):
-        blocks = []
-        start = 0
-        for i in range(s - 1):
-            if mask >> i & 1:
-                blocks.append(j[start : i + 1])
-                start = i + 1
-        blocks.append(j[start:])
-        term = Q((-1) ** len(blocks))
-        for b in blocks:
-            term *= m_coeff(tuple(b))
-        out += term
-    return out
+    suffix = [Q(0)] * s + [Q(1)]  # suffix[i] = n_{J[i:]}
+    for start in range(s - 1, -1, -1):
+        acc = Q(0)
+        for end in range(start + 1, s + 1):
+            acc -= m_coeff(j[start:end]) * suffix[end]
+        suffix[start] = acc
+    return suffix[0]
 
 
 def p_nested(j: Composition, u: Series, v: Series) -> Series:

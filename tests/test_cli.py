@@ -180,3 +180,36 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--basis", "nope"])
     assert exc.value.code == 2
+
+
+def test_cut_route_cap(capsys, monkeypatch):
+    from nabch.cuts import closed_form_xmyn, xmyn_monomial
+    from nabch.magma import format_monomial
+
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    code, out, _ = run(capsys, "coeff", "--monomial", format_monomial(xmyn_monomial(16, 16)))
+    assert code == 0 and out.strip() == str(closed_form_xmyn(16, 16))
+    code, out, err = run(capsys, "coeff", "--monomial", format_monomial(xmyn_monomial(17, 16)))
+    assert code == 2 and out == ""
+    assert "cap 32 of the cut route" in err
+    # the series and both methods expand the series, and keep the cap of 8
+    nine = format_monomial(xmyn_monomial(5, 4))
+    for method in ("both", "series"):
+        code, out, err = run(capsys, "coeff", "--monomial", nine, "--method", method)
+        assert code == 2 and out == "" and "cap 8" in err and "cut route" not in err
+
+
+def test_cut_route_cap_yields_to_explicit_caps(capsys, monkeypatch):
+    from nabch.cuts import closed_form_xmyn, xmyn_monomial
+    from nabch.magma import format_monomial
+
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    w33 = format_monomial(xmyn_monomial(17, 16))
+    code, out, _ = run(capsys, "coeff", "--monomial", w33, "--max-degree", "33")
+    assert code == 0 and out.strip() == str(closed_form_xmyn(17, 16))
+    monkeypatch.setenv("BCH_MAX_DEGREE", "33")
+    code, _, _ = run(capsys, "coeff", "--monomial", w33)
+    assert code == 0
+    monkeypatch.setenv("BCH_MAX_DEGREE", "4")
+    code, _, err = run(capsys, "coeff", "--monomial", "((xx)((yy)y))")
+    assert code == 2 and "cap 4" in err

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nabch.cuts import (
     c_tau,
@@ -11,7 +13,7 @@ from nabch.cuts import (
     xiyj_shape,
     xmyn_monomial,
 )
-from nabch.magma import enumerate_monomials, leaf, left_normed_power, parse
+from nabch.magma import enumerate_monomials, leaf, left_normed_power, node, parse
 from nabch.magnus import bch_monomial
 
 X = leaf("x")
@@ -176,4 +178,56 @@ def test_closed_form_matches_cuts():
         for n in range(1, 7):
             if m + n > 7:
                 continue
+            assert closed_form_xmyn(m, n) == coefficient_via_cuts(xmyn_monomial(m, n)), (m, n)
+
+
+# -- the left-spine recurrence against the cut enumeration
+
+
+def _cut_sum(w):
+    """The cut formula itself: c_tau / prod(i! j!) summed over the listed
+    BCH-cuts of w.  A branch outside the x^i y^j shapes (one containing z,
+    say) keeps its cut out of the list, so it weighs 0."""
+    total = F(0)
+    for cut in enumerate_bch_cuts(w):
+        denom = 1
+        for b in cut.branches:
+            i, j = xiyj_shape(b)
+            denom *= factorial(i) * factorial(j)
+        total += c_tau(cut.skeleton) / denom
+    return total
+
+
+def test_recurrence_matches_enumeration_through_degree_7():
+    for deg in range(1, 8):
+        for m in enumerate_monomials(deg):
+            assert coefficient_via_cuts(m) == _cut_sum(m), m
+
+
+def test_recurrence_matches_enumeration_with_z_through_degree_4():
+    for deg in range(1, 5):
+        for m in enumerate_monomials(deg, ("x", "y", "z")):
+            got = coefficient_via_cuts(m)
+            assert got == _cut_sum(m), m
+            if "z" in m.vars:  # every cut has a branch containing z
+                assert got == 0, m
+
+
+@st.composite
+def _monomials_of_degree(draw, degree):
+    if degree == 1:
+        return leaf(draw(st.sampled_from(["x", "y"])))
+    k = draw(st.integers(1, degree - 1))
+    return node(draw(_monomials_of_degree(k)), draw(_monomials_of_degree(degree - k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(_monomials_of_degree))
+def test_recurrence_matches_enumeration_on_random_monomials(w):
+    assert coefficient_via_cuts(w) == _cut_sum(w)
+
+
+def test_closed_form_matches_recurrence_through_degree_24():
+    for m in range(1, 24):
+        for n in range(1, 25 - m):
             assert closed_form_xmyn(m, n) == coefficient_via_cuts(xmyn_monomial(m, n)), (m, n)

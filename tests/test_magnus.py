@@ -60,6 +60,37 @@ def test_n_all_ones_is_bernoulli(k):
     assert n_coeff((1,) * k) == bernoulli(k) / factorial(k)
 
 
+def _n_by_factorizations(j):
+    """n_J by its definition: the alternating sum of m-products over all
+    2^(s-1) concatenation factorizations of J."""
+    s = len(j)
+    out = F(0)
+    for mask in range(1 << (s - 1)):
+        blocks = []
+        start = 0
+        for i in range(s - 1):
+            if mask >> i & 1:
+                blocks.append(j[start : i + 1])
+                start = i + 1
+        blocks.append(j[start:])
+        term = F((-1) ** len(blocks))
+        for b in blocks:
+            term *= m_coeff(tuple(b))
+        out += term
+    return out
+
+
+def test_n_coeff_matches_factorization_sum_through_weight_10():
+    for weight in range(1, 11):
+        for j in compositions(weight):
+            assert n_coeff(j) == _n_by_factorizations(j), j
+
+
+def test_n_coeff_of_a_long_tuple():
+    # 2^59 factorizations; the suffix recurrence takes 60^2 / 2 products
+    assert n_coeff((1,) * 60) == bernoulli(60) / factorial(60)
+
+
 # -- nested brackets
 
 

@@ -303,6 +303,7 @@ def test_series_json_accepts_integer_coefficients():
 
 
 def test_cached_values_are_read_only():
+    from nabch.hopf import coproduct, coproduct_monomial, left_divide_monomial
     from nabch.magnus import bch_ode, tau_components
     from nabch.suops import GX, GY, eval_prim, su_bracket_expr
 
@@ -314,13 +315,19 @@ def test_cached_values_are_read_only():
         eval_prim(e, e.degree),
         tau_components(2)[2],
     ]
-    for value in cached:
-        key = next(iter(value.terms))
-        before = dict(value.terms)
+    # the hopf monomial caches hand out their mappings themselves
+    mappings = [value.terms for value in cached] + [
+        coproduct_monomial(X),
+        left_divide_monomial(parse("(xy)"), X),
+    ]
+    for terms in mappings:
+        key = next(iter(terms))
+        before = dict(terms)
         with pytest.raises(TypeError):
-            value.terms[key] = F(7)
+            terms[key] = F(7)
         with pytest.raises(TypeError):
-            del value.terms[key]
-        assert dict(value.terms) == before
+            del terms[key]
+        assert dict(terms) == before
     assert bch_monomial(3) is cached[0] and bch_monomial(3).coefficient(X) == 1
     assert eval_prim(e, e.degree) is cached[3]
+    assert coproduct(Series.generator("x", 1)).coefficient((X, None)) == 1
