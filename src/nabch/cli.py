@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 from math import factorial
 
 from . import checks, magnus, trees
@@ -41,6 +42,16 @@ PRIMITIVE_NOTE = " of the primitive route, which took about 30 s at degree 7"
 # degree-32 coefficient on the same machine; the cap keeps it bounded.
 CUTS_CAP = 32
 CUTS_NOTE = " of the cut route"
+# Woon's, Fuchs's and the composition-tree route to B_k/k! grow as 2^k: at
+# k = 16 each took up to 2 s on the same machine, and each +2 in k costs
+# about 4x.
+BERNOULLI_CAP = 16
+BERNOULLI_NOTE = " of the 2^k Bernoulli methods"
+# Parsing recurses once per nesting level, and the cut route once per right
+# factor, at two interpreter frames a level through its cache.  Under the
+# default recursion limit of 1000, a right-nested monomial failed at depth
+# 495; the bound leaves room for a caller's own frames.
+MAX_NESTING = 400
 CAP_ENV = "BCH_MAX_DEGREE"
 
 
@@ -138,6 +149,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    depth = max(accumulate((ch == "(") - (ch == ")") for ch in args.monomial), default=0)
+    if depth > MAX_NESTING:
+        raise UsageError(f"monomial nested {depth} deep exceeds the nesting bound {MAX_NESTING}")
     try:
         m = parse(args.monomial)
     except ParseError as exc:
@@ -200,6 +214,8 @@ def cmd_bernoulli(args) -> int:
     if k < 0:
         raise UsageError("k must be >= 0")
     method = args.method
+    if method != "recurrence":
+        _check_degree(max(k, 1), args.max_degree, BERNOULLI_CAP, BERNOULLI_NOTE)
     try:
         if method == "recurrence":
             value = bernoulli(k) / factorial(k)
@@ -285,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 f"override the degree cap (default {DEFAULT_CAP}, {PRIMITIVE_CAP} for "
-                f"expand --basis primitive|both, {CUTS_CAP} for coeff --method cuts; "
-                f"env {CAP_ENV})"
+                f"expand --basis primitive|both, {CUTS_CAP} for coeff --method cuts, "
+                f"{BERNOULLI_CAP} on k for bernoulli --method woon|fuchs|nj; env {CAP_ENV})"
             ),
         )
 

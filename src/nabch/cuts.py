@@ -27,6 +27,7 @@ the test oracle of the recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 from .magma import Monomial, is_left_normed_word, leaf, left_normed_power, node
@@ -63,23 +64,16 @@ class Cut:
         return build(self.skeleton)
 
 
-_CUTS: dict[Monomial, tuple[Cut, ...]] = {}
-
-
+@cache
 def enumerate_cuts(w: Monomial) -> tuple[Cut, ...]:
     """Every frontier of disjoint subtrees covering the leaves, from the
     trivial cut (one branch, slot skeleton) to the full cut (all leaves)."""
-    out = _CUTS.get(w)
-    if out is not None:
-        return out
     cuts = [Cut(_SLOT, (w,))]
     if not w.is_leaf:
         for cl in enumerate_cuts(w.left):
             for cr in enumerate_cuts(w.right):
                 cuts.append(Cut(node(cl.skeleton, cr.skeleton), cl.branches + cr.branches))
-    out = tuple(cuts)
-    _CUTS[w] = out
-    return out
+    return tuple(cuts)
 
 
 def _power_of(m: Monomial, var: str) -> bool:
@@ -117,9 +111,7 @@ def c_tau(skeleton: Monomial) -> Q:
     return b_tau(skeleton) / tau_factorial(skeleton)
 
 
-_COEFF: dict[Monomial, Q] = {}
-
-
+@cache
 def coefficient_via_cuts(w: Monomial) -> Q:
     """The BCH coefficient of w, summed over its BCH-cuts without listing them.
 
@@ -134,9 +126,6 @@ def coefficient_via_cuts(w: Monomial) -> Q:
     The k with B_k = 0 add nothing, and the walk stops once a factor F(t_i)
     is zero.  Values are memoised per monomial.
     """
-    out = _COEFF.get(w)
-    if out is not None:
-        return out
     out = Q(0)
     base, above, k = w, Q(1), 0  # above = F(t_1)...F(t_k) of the stripped factors
     while True:
@@ -151,7 +140,6 @@ def coefficient_via_cuts(w: Monomial) -> Q:
         if not above:
             break
         base, k = base.left, k + 1
-    _COEFF[w] = out
     return out
 
 

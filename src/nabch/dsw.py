@@ -15,7 +15,8 @@ exponential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
+from types import MappingProxyType
 
 from . import hopf
 from .magma import Monomial, is_left_normed_word, leaf, node, word_letters
@@ -41,7 +42,7 @@ Derivation = DegreeDerivation | SubstitutionDerivation
 DEGREE = DegreeDerivation()
 
 
-@lru_cache(maxsize=None)
+@cache
 def y_partial_x(truncation: int) -> SubstitutionDerivation:
     """y d/dx at the given truncation: x -> y, y -> 0."""
     return SubstitutionDerivation("x", Series.generator("y", truncation))
@@ -53,23 +54,14 @@ def _apply_monomial(d: Derivation, m: Monomial) -> dict[Monomial, Q]:
     return _sub_apply(d, m)
 
 
-_SUB_CACHE: dict = {}
-
-
-def _sub_apply(d: SubstitutionDerivation, m: Monomial) -> dict[Monomial, Q]:
-    key = (d, m)
-    out = _SUB_CACHE.get(key)
-    if out is not None:
-        return out
+@cache
+def _sub_apply(d: SubstitutionDerivation, m: Monomial) -> MappingProxyType:
     if m.is_leaf:
-        out = d.value.terms if m.var == d.target else {}
-    else:
-        out = _normalise(
-            [(node(t, m.right), c) for t, c in _sub_apply(d, m.left).items()]
-            + [(node(m.left, t), c) for t, c in _sub_apply(d, m.right).items()]
-        )
-    _SUB_CACHE[key] = out
-    return out
+        return d.value.terms if m.var == d.target else _normalise(())
+    return _normalise(
+        [(node(t, m.right), c) for t, c in _sub_apply(d, m.left).items()]
+        + [(node(m.left, t), c) for t, c in _sub_apply(d, m.right).items()]
+    )
 
 
 def apply(d: Derivation, s: Series) -> Series:
@@ -80,25 +72,17 @@ def apply(d: Derivation, s: Series) -> Series:
     return Series(s.truncation, out)
 
 
-_GAMMA_CACHE: dict = {}
-
-
-def _gamma_monomial(d: Derivation, u: Monomial) -> dict[Monomial, Q]:
+@cache
+def _gamma_monomial(d: Derivation, u: Monomial) -> MappingProxyType:
     """gamma_d(u) = sum u_(1) \\ d(u_(2)) as an exact coefficient map."""
-    key = (d, u)
-    out = _GAMMA_CACHE.get(key)
-    if out is not None:
-        return out
-    out = {}
+    out: dict[Monomial, Q] = {}
     for (a, b), mult in hopf.coproduct_monomial(u).items():
         if b is None:
             continue  # d(1) = 0
         for t, c in _apply_monomial(d, b).items():
             quotient = {t: 1} if a is None else hopf.left_divide_monomial(a, t)  # 1 \ t = t
             _accumulate(out, quotient.items(), mult * c)
-    out = _normalise(out)
-    _GAMMA_CACHE[key] = out
-    return out
+    return _normalise(out)
 
 
 def gamma(d: Derivation, s: Series) -> Series:
@@ -132,7 +116,7 @@ def dsw_identity_check(u, a: str, d: Derivation, truncation: int | None = None) 
     return lhs == rhs
 
 
-@lru_cache(maxsize=None)
+@cache
 def _bracketize(letters: tuple[str, ...]) -> PrimCombo:
     if len(letters) == 1:
         return PrimCombo.single(Gen(letters[0]))

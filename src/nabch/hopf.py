@@ -14,6 +14,7 @@ non-associative setting.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 
 from .magma import Monomial, mirror, monomial_from_json, monomial_to_json, node
@@ -111,22 +112,15 @@ class TensorSeries:
         return _render_terms(self.items(), pair, False)
 
 
-_COPRODUCT: dict[Monomial, MappingProxyType] = {}
-
-
+@cache
 def coproduct_monomial(m: Monomial) -> MappingProxyType:
     """Delta(m) as an exact integer combination of tensor pairs, read-only
     because it is cached."""
-    out = _COPRODUCT.get(m)
-    if out is not None:
-        return out
     if m.is_leaf:
-        out = {(m, None): 1, (None, m): 1}
-    else:
-        out = _tensor_product(coproduct_monomial(m.left), coproduct_monomial(m.right), m.degree)
-    out = MappingProxyType(out)
-    _COPRODUCT[m] = out
-    return out
+        return MappingProxyType({(m, None): 1, (None, m): 1})
+    return MappingProxyType(
+        _tensor_product(coproduct_monomial(m.left), coproduct_monomial(m.right), m.degree)
+    )
 
 
 def coproduct(s: Series) -> TensorSeries:
@@ -141,9 +135,7 @@ def counit(s: Series) -> Q:
     return s.constant
 
 
-_LEFT_DIV: dict[tuple, MappingProxyType] = {}
-
-
+@cache
 def left_divide_monomial(u: Monomial, v) -> MappingProxyType:
     """u \\ v for a monomial u and a monomial-or-unit v (v = None is the unit),
     read-only because it is cached.
@@ -151,17 +143,11 @@ def left_divide_monomial(u: Monomial, v) -> MappingProxyType:
     Computed by induction on the degree of u:
     u \\ v = -uv - sum' u'_(1) \\ (u'_(2) v) over proper Sweedler components.
     """
-    key = (u, v)
-    out = _LEFT_DIV.get(key)
-    if out is not None:
-        return out
     out = {_graft(u, v): -1}
     for (a, b), c in coproduct_monomial(u).items():
         if a is not None and b is not None:  # a proper Sweedler component
             _accumulate(out, left_divide_monomial(a, _graft(b, v)).items(), -c)
-    out = MappingProxyType({t: k for t, k in out.items() if k})
-    _LEFT_DIV[key] = out
-    return out
+    return MappingProxyType({t: k for t, k in out.items() if k})
 
 
 def left_divide(u: Series, v: Series) -> Series:

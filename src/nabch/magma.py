@@ -10,6 +10,8 @@ products lexicographically by (left, right).
 
 from __future__ import annotations
 
+from functools import cache
+
 GENERATORS = ("x", "y")
 
 # A third letter is tolerated at the object level so identities that
@@ -154,6 +156,7 @@ def left_normed_power(v, n: int) -> Monomial:
     return out
 
 
+@cache
 def mirror(m: Monomial) -> Monomial:
     """m reflected left to right, the anti-automorphism (ab) -> mirror(b) mirror(a)
     of the free magma; it keeps the degree and the multidegree."""
@@ -259,9 +262,7 @@ def format_monomial(m: Monomial, style: str = "compact") -> str:
     raise ValueError(f"unknown style {style!r}")
 
 
-_ENUM_CACHE: dict = {}
-
-
+@cache
 def enumerate_monomials(n: int, alphabet: tuple[str, ...] = GENERATORS) -> tuple[Monomial, ...]:
     """All monomials of degree n over ``alphabet``, canonically sorted.
 
@@ -269,21 +270,14 @@ def enumerate_monomials(n: int, alphabet: tuple[str, ...] = GENERATORS) -> tuple
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    key = (n, alphabet)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return cached
     if n == 1:
-        out = tuple(leaf(v) for v in sorted(alphabet))
-    else:
-        acc = []
-        for k in range(1, n):
-            for a in enumerate_monomials(k, alphabet):
-                for b in enumerate_monomials(n - k, alphabet):
-                    acc.append(node(a, b))
-        out = tuple(sorted(acc))
-    _ENUM_CACHE[key] = out
-    return out
+        return tuple(leaf(v) for v in sorted(alphabet))
+    acc = []
+    for k in range(1, n):
+        for a in enumerate_monomials(k, alphabet):
+            for b in enumerate_monomials(n - k, alphabet):
+                acc.append(node(a, b))
+    return tuple(sorted(acc))
 
 
 def monomial_to_json(m: Monomial):

@@ -15,7 +15,7 @@ and the two primitive-basis constructions of log_l(exp_l(x) exp_l(y)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from math import factorial
 
 from .series import Q, Series, exp_l, log_l
@@ -33,7 +33,7 @@ from .suops import (
 Composition = tuple
 
 
-@lru_cache(maxsize=None)
+@cache
 def compositions(weight: int) -> tuple[Composition, ...]:
     """All tuples of positive integers summing to ``weight``."""
     if weight < 1:
@@ -48,7 +48,7 @@ def compositions(weight: int) -> tuple[Composition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def m_coeff(j: Composition) -> Q:
     """m_J = prod_i 1/(j_i + ... + j_s + 1) * 1/(j_i - 1)!."""
     out = Q(1)
@@ -61,7 +61,7 @@ def m_coeff(j: Composition) -> Q:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def n_coeff(j: Composition) -> Q:
     """The alternating sum of m-products over all concatenation
     factorizations, by the suffix recurrence it satisfies: splitting off the
@@ -125,7 +125,7 @@ def tau_inverse(u: Series, v: Series) -> Series:
     return _weighted_sum(u, v, n_coeff)
 
 
-@lru_cache(maxsize=None)
+@cache
 def tau_components(n: int) -> tuple[PrimCombo, ...]:
     """tau_0 .. tau_n of the tangent map, as primitive-operation combinations.
 
@@ -173,7 +173,7 @@ def tau_inverse_combo(n: int) -> PrimCombo:
 # The two Baker-Campbell-Hausdorff constructions.
 
 
-@lru_cache(maxsize=None)
+@cache
 def bch_monomial(n: int) -> Series:
     """log_l(exp_l(x) exp_l(y)) in the raw monomial basis, truncated at n."""
     if n < 1:
@@ -249,7 +249,7 @@ def _pj_combo(j: Composition, slots: list, z_terms: list, cap: int) -> PrimCombo
     return combo
 
 
-@lru_cache(maxsize=None)
+@cache
 def bch_ode(n: int) -> PrimCombo:
     """log_l(exp_l(x) exp_l(y)) in the primitive basis via the Magnus-type ODE.
 
@@ -298,7 +298,7 @@ def bch_ode(n: int) -> PrimCombo:
     return PrimCombo([kv for part in omega for kv in part.terms.items()]).up_to(n)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _distributions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
     """All ways to write ``total`` as an ordered sum of ``slots`` values >= 0."""
     if slots == 1:

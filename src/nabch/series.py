@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from types import MappingProxyType
 
@@ -284,50 +285,36 @@ def _spine(m: Monomial) -> list[Monomial]:
     return parts
 
 
-_TAU_FACT: dict[Monomial, int] = {}
-_B_TAU: dict[Monomial, Q] = {}
-
-
+@cache
 def tau_factorial(m: Monomial) -> int:
     """tau! = k! tau_1! ... tau_k! over the left-spine decomposition; x! = 1."""
     _one_variable(m)
-    out = _TAU_FACT.get(m)
-    if out is None:
-        parts = _spine(m)
-        out = factorial(len(parts))
-        for p in parts:
-            out *= tau_factorial(p)
-        _TAU_FACT[m] = out
+    parts = _spine(m)
+    out = factorial(len(parts))
+    for p in parts:
+        out *= tau_factorial(p)
     return out
 
 
+@cache
 def b_tau(m: Monomial) -> Q:
     """B_tau = B_k B_{tau_1} ... B_{tau_k}; B_x = 1."""
     _one_variable(m)
-    out = _B_TAU.get(m)
-    if out is None:
-        parts = _spine(m)
-        out = bernoulli(len(parts))
-        for p in parts:
-            out *= b_tau(p)
-        _B_TAU[m] = out
+    parts = _spine(m)
+    out = bernoulli(len(parts))
+    for p in parts:
+        out *= b_tau(p)
     return out
 
 
-_LOG_SERIES: dict[int, Series] = {}
-
-
+@cache
 def log_l_series(n: int) -> Series:
     """log_l(1+x) = sum_tau (B_tau / tau!) tau, truncated at degree n."""
-    out = _LOG_SERIES.get(n)
-    if out is None:
-        terms = {}
-        for d in range(1, n + 1):
-            for m in enumerate_monomials(d, ("x",)):
-                terms[m] = b_tau(m) / tau_factorial(m)
-        out = Series(n, terms)
-        _LOG_SERIES[n] = out
-    return out
+    terms = {}
+    for d in range(1, n + 1):
+        for m in enumerate_monomials(d, ("x",)):
+            terms[m] = b_tau(m) / tau_factorial(m)
+    return Series(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +471,9 @@ class AssocSeries:
         return _render_terms(self.items(), str, False, self.constant)
 
 
-_WORD: dict[Monomial, str] = {}
-
-
+@cache
 def _word(m: Monomial) -> str:
-    w = _WORD.get(m)
-    if w is None:
-        w = "".join(word_letters(m))
-        _WORD[m] = w
-    return w
+    return "".join(word_letters(m))
 
 
 def project_associative(s: Series) -> AssocSeries:

@@ -19,6 +19,7 @@ an exact evaluator, plus a round-trip text syntax:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -232,36 +233,33 @@ def expr_degree(e: PrimExpr) -> int:
     return e.degree
 
 
-_EVAL: dict[PrimExpr, Series] = {}
-
-
 def eval_prim(e: PrimExpr, n: int) -> Series:
     """Evaluate a symbolic expression to a truncated series.
 
     Expressions are homogeneous, so the value is computed once at the
     expression's own degree and re-truncated on demand.
     """
-    d = e.degree
-    if d > n:
+    if e.degree > n:
         return Series.zero(n)
-    out = _EVAL.get(e)
-    if out is None:
-        if isinstance(e, Gen):
-            out = Series.generator(e.name, d)
-        elif isinstance(e, Commutator):
-            a = eval_prim(e.a, d)
-            b = eval_prim(e.b, d)
-            out = a * b - b * a
-        elif isinstance(e, SUBracket):
-            out = su_bracket(
-                [eval_prim(p, d) for p in e.prefix], eval_prim(e.y, d), eval_prim(e.z, d)
-            )
-        else:
-            out = phi([eval_prim(p, d) for p in e.xs], [eval_prim(p, d) for p in e.ys])
-        _EVAL[e] = out
-    if n == d:
-        return out
-    return Series(n, out.terms)
+    out = _eval(e)
+    return out if n == e.degree else Series(n, out.terms)
+
+
+@cache
+def _eval(e: PrimExpr) -> Series:
+    """e at its own degree d; the operands are evaluated through eval_prim."""
+    d = e.degree
+    if isinstance(e, Gen):
+        return Series.generator(e.name, d)
+    if isinstance(e, Commutator):
+        a = eval_prim(e.a, d)
+        b = eval_prim(e.b, d)
+        return a * b - b * a
+    if isinstance(e, SUBracket):
+        return su_bracket(
+            [eval_prim(p, d) for p in e.prefix], eval_prim(e.y, d), eval_prim(e.z, d)
+        )
+    return phi([eval_prim(p, d) for p in e.xs], [eval_prim(p, d) for p in e.ys])
 
 
 def expr_to_text(e: PrimExpr) -> str:

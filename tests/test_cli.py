@@ -213,3 +213,57 @@ def test_cut_route_cap_yields_to_explicit_caps(capsys, monkeypatch):
     monkeypatch.setenv("BCH_MAX_DEGREE", "4")
     code, _, err = run(capsys, "coeff", "--monomial", "((xx)((yy)y))")
     assert code == 2 and "cap 4" in err
+
+
+def _nested(depth, side):
+    text = "x"
+    for _ in range(depth):
+        text = f"({text}x)" if side == "left" else f"(y{text})"
+    return text
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_coeff_nesting_bound(capsys, monkeypatch, side):
+    from fractions import Fraction
+
+    from nabch.cli import MAX_NESTING
+
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    code, out, _ = run(capsys, "coeff", "--monomial", _nested(MAX_NESTING, side), "--max-degree", "5000")
+    assert code == 0 and isinstance(Fraction(out.strip()), Fraction)
+    for depth in (600, 1200):
+        code, out, err = run(capsys, "coeff", "--monomial", _nested(depth, side), "--max-degree", "5000")
+        assert code == 2 and out == ""
+        assert f"nested {depth} deep" in err and f"bound {MAX_NESTING}" in err
+
+
+@pytest.mark.parametrize("method", ["woon", "fuchs", "nj"])
+def test_bernoulli_cap(capsys, monkeypatch, method):
+    from fractions import Fraction
+
+    from nabch import trees
+
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    code, out, err = run(capsys, "bernoulli", "--k", "17", "--method", method)
+    assert code == 2 and out == "" and "cap 16 of the 2^k Bernoulli methods" in err
+    # past the cap the routes themselves are stubbed: k = 17 takes seconds
+    for name in ("woon_level_sum", "fuchs_level_sum", "nj_tree_sum"):
+        monkeypatch.setattr(trees, name, lambda *args: Fraction(1))
+    code, out, _ = run(capsys, "bernoulli", "--k", "17", "--method", method, "--max-degree", "17")
+    assert code == 0 and out.strip() == "1"
+    monkeypatch.setenv("BCH_MAX_DEGREE", "17")
+    code, _, _ = run(capsys, "bernoulli", "--k", "17", "--method", method)
+    assert code == 0
+    monkeypatch.setenv("BCH_MAX_DEGREE", "4")
+    code, _, err = run(capsys, "bernoulli", "--k", "5", "--method", method)
+    assert code == 2 and "cap 4" in err
+
+
+def test_bernoulli_recurrence_is_uncapped(capsys, monkeypatch):
+    from math import factorial
+
+    from nabch.series import bernoulli
+
+    monkeypatch.setenv("BCH_MAX_DEGREE", "4")
+    code, out, _ = run(capsys, "bernoulli", "--k", "40")
+    assert code == 0 and out.strip() == str(bernoulli(40) / factorial(40))
