@@ -13,12 +13,19 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import dsw, hopf, magnus, trees
-from .cuts import closed_form_xmyn, coefficient_via_cuts, enumerate_bch_cuts, xmyn_monomial
-from .magma import enumerate_monomials, is_left_normed_word, leaf, node
+from .cuts import (
+    closed_form_xmyn,
+    coefficient_via_cuts,
+    enumerate_bch_cuts,
+    enumerate_cuts,
+    xmyn_monomial,
+)
+from .magma import enumerate_monomials, is_left_normed_word, leaf, left_normed_power, node
 from .series import (
     Q,
     Series,
     _normalise,
+    bernoulli,
     dynkin_bch,
     exp_l,
     left_normed_product,
@@ -26,7 +33,7 @@ from .series import (
     mul_mono,
     project_associative,
 )
-from .suops import p_series, phi, su_bracket, su_bracket_series
+from .suops import associator, p_series, phi, su_bracket, su_bracket_series
 
 
 @dataclass
@@ -231,8 +238,6 @@ def check_dsw(degree: int) -> list[CheckResult]:
 
     ok = True
     # gamma_deg(a(bc)) = eval of the (ab)c combination minus 3 (a,b,c)
-    from .suops import associator
-
     nn = 3
     a, b, c = (Series.generator(v, nn) for v in "xyz")
     am, bm, cm = leaf("x"), leaf("y"), leaf("z")
@@ -289,8 +294,6 @@ def check_magnus(degree: int) -> list[CheckResult]:
 
 
 def _bern_over_fact(k: int):
-    from .series import bernoulli
-
     return bernoulli(k) / factorial(k)
 
 
@@ -324,8 +327,6 @@ def check_cuts(degree: int) -> list[CheckResult]:
                 continue
             if len(enumerate_bch_cuts(xmyn_monomial(i, j))) != i * j + 1:
                 ok = False
-    from .magma import left_normed_power
-
     for i in range(1, min(degree, 6) + 1):
         if len(enumerate_bch_cuts(left_normed_power("x", i))) != i:
             ok = False
@@ -337,8 +338,6 @@ def check_cuts(degree: int) -> list[CheckResult]:
     for d in range(1, n + 1):
         for m in enumerate_monomials(d):
             intervals = []
-            from .cuts import enumerate_cuts
-
             for cut in enumerate_cuts(m):
                 intervals.extend(cut.positions())
             for (a1, b1) in intervals:

@@ -47,6 +47,11 @@ CUTS_NOTE = " of the cut route"
 # about 4x.
 BERNOULLI_CAP = 16
 BERNOULLI_NOTE = " of the 2^k Bernoulli methods"
+# n_J sums O(s^2) products over the slices of a composition J of weight s:
+# the all-ones J took about 0.5 s at s = 256 and 2 s at s = 400 on the same
+# machine.  The cap is on the weight, which bounds the length and each part.
+NJ_CAP = 256
+NJ_NOTE = " of nj, whose all-ones tuple took about 2 s at weight 400"
 # Parsing recurses once per nesting level, and the cut route once per right
 # factor, at two interpreter frames a level through its cache.  Under the
 # default recursion limit of 1000, a right-nested monomial failed at depth
@@ -241,6 +246,7 @@ def cmd_nj(args) -> int:
             raise ValueError
     except ValueError:
         raise UsageError(f"--tuple must be comma-separated integers >= 1, got {args.tuple!r}")
+    _check_degree(sum(j), args.max_degree, NJ_CAP, NJ_NOTE)
     value = magnus.n_coeff(j)
     params = {"tuple": list(j)}
     _emit_value(args, "nj", params, "value", value)
@@ -302,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 f"override the degree cap (default {DEFAULT_CAP}, {PRIMITIVE_CAP} for "
                 f"expand --basis primitive|both, {CUTS_CAP} for coeff --method cuts, "
-                f"{BERNOULLI_CAP} on k for bernoulli --method woon|fuchs|nj; env {CAP_ENV})"
+                f"{BERNOULLI_CAP} on k for bernoulli --method woon|fuchs|nj, {NJ_CAP} on the "
+                f"tuple's sum for nj; env {CAP_ENV})"
             ),
         )
 

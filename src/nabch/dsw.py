@@ -80,8 +80,7 @@ def _gamma_monomial(d: Derivation, u: Monomial) -> MappingProxyType:
         if b is None:
             continue  # d(1) = 0
         for t, c in _apply_monomial(d, b).items():
-            quotient = {t: 1} if a is None else hopf.left_divide_monomial(a, t)  # 1 \ t = t
-            _accumulate(out, quotient.items(), mult * c)
+            _accumulate(out, hopf.left_divide_monomial(a, t).items(), mult * c)
     return _normalise(out)
 
 

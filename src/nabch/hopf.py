@@ -25,6 +25,7 @@ from .series import (
     _equal,
     _join_truncation,
     _normalise,
+    _product,
     _render_terms,
     _scaled,
 )
@@ -41,23 +42,27 @@ def _graft(a, b):
     return node(a, b)
 
 
+def _degree(m) -> int:
+    """The degree of a monomial, 0 for the unit None."""
+    return 0 if m is None else m.degree
+
+
 def _key_degree(k: TensorKey) -> int:
-    a, b = k
-    return (0 if a is None else a.degree) + (0 if b is None else b.degree)
+    return _degree(k[0]) + _degree(k[1])
 
 
-def _tensor_product(p, q, n: int) -> dict:
-    """The product (a1 (x) b1)(a2 (x) b2) = a1a2 (x) b1b2, extended
-    bilinearly to the tensor-pair maps p and q, keeping total degree <= n."""
-    out = {}
-    for (a1, b1), c1 in p.items():
-        d1 = _key_degree((a1, b1))
-        for (a2, b2), c2 in q.items():
-            if d1 + _key_degree((a2, b2)) <= n:
-                k = (_graft(a1, a2), _graft(b1, b2))
-                prev = out.get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-    return out
+def _tensor_join(k1: TensorKey, k2: TensorKey) -> TensorKey:
+    """(a1 (x) b1)(a2 (x) b2) = a1a2 (x) b1b2 on tensor-pair keys."""
+    return (_graft(k1[0], k2[0]), _graft(k1[1], k2[1]))
+
+
+def _pair(a, b) -> TensorKey:
+    return (a, b)
+
+
+def _with_unit(s: Series):
+    """s's terms, plus its constant at the unit key None when it is nonzero."""
+    return {None: s.constant, **s.terms} if s.constant else s.terms
 
 
 class TensorSeries:
@@ -97,7 +102,7 @@ class TensorSeries:
     def __mul__(self, other):
         if isinstance(other, TensorSeries):
             n = _join_truncation(self.truncation, other.truncation)
-            return TensorSeries(n, _tensor_product(self.terms, other.terms, n))
+            return TensorSeries(n, _product(self.terms, other.terms, n, _tensor_join, _key_degree))
         return self._scale(other)
 
     def _scale(self, c):
@@ -118,9 +123,8 @@ def coproduct_monomial(m: Monomial) -> MappingProxyType:
     because it is cached."""
     if m.is_leaf:
         return MappingProxyType({(m, None): 1, (None, m): 1})
-    return MappingProxyType(
-        _tensor_product(coproduct_monomial(m.left), coproduct_monomial(m.right), m.degree)
-    )
+    cl, cr = coproduct_monomial(m.left), coproduct_monomial(m.right)
+    return MappingProxyType(_product(cl, cr, m.degree, _tensor_join, _key_degree))
 
 
 def coproduct(s: Series) -> TensorSeries:
@@ -135,35 +139,35 @@ def counit(s: Series) -> Q:
     return s.constant
 
 
-@cache
-def left_divide_monomial(u: Monomial, v) -> MappingProxyType:
-    """u \\ v for a monomial u and a monomial-or-unit v (v = None is the unit),
-    read-only because it is cached.
+def left_divide_monomial(u, v) -> MappingProxyType:
+    """u \\ v for u and v each a monomial or the unit None, read-only.
 
-    Computed by induction on the degree of u:
+    1 \\ v = v, not memoised: building it costs no more than a lookup.
+    Otherwise by induction on the degree of u:
     u \\ v = -uv - sum' u'_(1) \\ (u'_(2) v) over proper Sweedler components.
     """
+    if u is None:
+        return MappingProxyType({v: 1})
+    return _left_divide(u, v)
+
+
+@cache
+def _left_divide(u: Monomial, v) -> MappingProxyType:
     out = {_graft(u, v): -1}
     for (a, b), c in coproduct_monomial(u).items():
         if a is not None and b is not None:  # a proper Sweedler component
-            _accumulate(out, left_divide_monomial(a, _graft(b, v)).items(), -c)
+            _accumulate(out, _left_divide(a, _graft(b, v)).items(), -c)
     return MappingProxyType({t: k for t, k in out.items() if k})
 
 
 def left_divide(u: Series, v: Series) -> Series:
-    """Bilinear extension of the monomial-level left division; 1 \\ v = v."""
+    """Bilinear extension of the monomial-level left division, units included."""
     n = _join_truncation(u.truncation, v.truncation)
-    out: dict[Monomial, Q] = {}
-    vs = list(v.terms.items())
-    if v.constant:
-        vs.append((None, v.constant))
-    for m, cu in u.terms.items():
-        for t, cv in vs:
-            if m.degree + (0 if t is None else t.degree) <= n:
-                _accumulate(out, left_divide_monomial(m, t).items(), cu * cv)
-    if u.constant:
-        _accumulate(out, v.terms.items(), u.constant)
-    return Series(n, out, u.constant * v.constant)
+    out: dict = {}
+    for (m, t), c in _product(_with_unit(u), _with_unit(v), n, _pair, _degree).items():
+        _accumulate(out, left_divide_monomial(m, t).items(), c)
+    constant = out.pop(None, 0)  # 1 \ 1 = 1
+    return Series(n, out, constant)
 
 
 def right_divide(v: Series, u: Series) -> Series:
@@ -185,8 +189,8 @@ def is_grouplike(s: Series) -> bool:
     """Delta(s) = s(x)s and eps(s) = 1, up to the truncation."""
     if s.constant != 1:
         return False
-    pairs = [(None, s.constant), *s.terms.items()]  # the unit slot is None
-    expected = (((a, b), ca * cb) for a, ca in pairs for b, cb in pairs)
+    terms = _with_unit(s)
+    expected = _product(terms, terms, s.truncation, _pair, _degree)
     return coproduct(s) == TensorSeries(s.truncation, expected)
 
 

@@ -262,20 +262,25 @@ def format_monomial(m: Monomial, style: str = "compact") -> str:
     raise ValueError(f"unknown style {style!r}")
 
 
-@cache
 def enumerate_monomials(n: int, alphabet: tuple[str, ...] = GENERATORS) -> tuple[Monomial, ...]:
     """All monomials of degree n over ``alphabet``, canonically sorted.
 
-    There are Catalan(n-1) * len(alphabet)**n of them.
+    There are Catalan(n-1) * len(alphabet)**n of them.  The alphabet is
+    normalised before the memo, so every way of passing it shares one entry.
     """
+    return _monomials(n, tuple(sorted(alphabet)))
+
+
+@cache
+def _monomials(n: int, alphabet: tuple[str, ...]) -> tuple[Monomial, ...]:
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n == 1:
-        return tuple(leaf(v) for v in sorted(alphabet))
+        return tuple(leaf(v) for v in alphabet)
     acc = []
     for k in range(1, n):
-        for a in enumerate_monomials(k, alphabet):
-            for b in enumerate_monomials(n - k, alphabet):
+        for a in _monomials(k, alphabet):
+            for b in _monomials(n - k, alphabet):
                 acc.append(node(a, b))
     return tuple(sorted(acc))
 

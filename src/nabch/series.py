@@ -17,6 +17,7 @@ import warnings
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from operator import add, attrgetter, itemgetter
 from types import MappingProxyType
 
 from .magma import (
@@ -51,8 +52,9 @@ def _join_truncation(a: int, b: int) -> int:
 # The sparse exact linear-combination core.  Series, AssocSeries, TensorSeries
 # and PrimCombo are finite rational combinations over a graded basis: a
 # read-only map from basis key to nonzero Fraction, built by _normalise.  The
-# functions below do the work the four classes share; each class adds only
-# its key type, canonical order, product and constant.
+# functions below do the work the four classes share, products included
+# (_product, given the class's join and degree); each class adds only its key
+# type, canonical order and constant.
 
 
 def _normalise(terms, cap=None, degree=None) -> MappingProxyType:
@@ -93,6 +95,24 @@ def _accumulate(out: dict, pairs, scale=None) -> dict:
             c = scale * c
         prev = out.get(k)
         out[k] = c if prev is None else prev + c
+    return out
+
+
+def _product(p, q, cap: int, join, degree=attrgetter("degree")) -> dict:
+    """The sum of ``ca * cb`` at ``join(a, b)`` over the pairs (a, ca) of ``p``
+    and (b, cb) of ``q`` whose degrees add up to at most ``cap``; zeros are
+    left for :func:`_normalise`.  ``q`` is sorted by degree once, so the inner
+    loop stops at the first key too heavy for ``a``."""
+    qs = sorted(((degree(b), b, cb) for b, cb in q.items()), key=itemgetter(0))
+    out = {}
+    for a, ca in p.items():
+        room = cap - degree(a)
+        for db, b, cb in qs:
+            if db > room:
+                break
+            k = join(a, b)
+            prev = out.get(k)
+            out[k] = ca * cb if prev is None else prev + ca * cb
     return out
 
 
@@ -189,7 +209,12 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             n = _join_truncation(self.truncation, other.truncation)
-            return _mul(self, other, n)
+            out = _product(self.terms, other.terms, n, node)
+            if self.constant:
+                _accumulate(out, other.terms.items(), self.constant)
+            if other.constant:
+                _accumulate(out, self.terms.items(), other.constant)
+            return Series(n, out, self.constant * other.constant)
         return self._scale(other)
 
     def _scale(self, c) -> "Series":
@@ -203,25 +228,6 @@ class Series:
 
     def __repr__(self):
         return format_series(self)
-
-
-def _mul(a: Series, b: Series, n: int) -> Series:
-    out: dict[Monomial, Q] = {}
-    ca, cb = a.constant, b.constant
-    if ca:
-        _accumulate(out, b.terms.items(), ca)
-    if cb:
-        _accumulate(out, a.terms.items(), cb)
-    for ma, va in a.terms.items():
-        da = ma.degree
-        if da >= n:
-            continue
-        for mb, vb in b.terms.items():
-            if da + mb.degree <= n:
-                m = node(ma, mb)
-                prev = out.get(m)
-                out[m] = va * vb if prev is None else prev + va * vb
-    return Series(n, out, ca * cb)
 
 
 def mono_mul(m: Monomial, s: Series) -> Series:
@@ -357,14 +363,7 @@ def _subst(m: Monomial, budget: int, u: Series, memo: dict) -> dict[Monomial, Q]
     else:
         dl = _subst(m.left, budget - m.right.degree, u, memo)
         dr = _subst(m.right, budget - m.left.degree, u, memo)
-        out = {}
-        for a, ca in dl.items():
-            da = a.degree
-            for b, cb in dr.items():
-                if da + b.degree <= budget:
-                    t = node(a, b)
-                    prev = out.get(t)
-                    out[t] = ca * cb if prev is None else prev + ca * cb
+        out = _product(dl, dr, budget, node)
     memo[key] = out
     return out
 
@@ -454,11 +453,10 @@ class AssocSeries:
     def __mul__(self, other):
         if isinstance(other, AssocSeries):
             n = _join_truncation(self.truncation, other.truncation)
-            a, b = self.terms.items(), other.terms.items()
-            pairs = [(wa + wb, ca * cb) for wa, ca in a for wb, cb in b if len(wa) + len(wb) <= n]
-            pairs += [(w, self.constant * c) for w, c in b]
-            pairs += [(w, other.constant * c) for w, c in a]
-            return AssocSeries(n, pairs, self.constant * other.constant)
+            out = _product(self.terms, other.terms, n, add, len)
+            _accumulate(out, other.terms.items(), self.constant)
+            _accumulate(out, self.terms.items(), other.constant)
+            return AssocSeries(n, out, self.constant * other.constant)
         return self._scale(other)
 
     def _scale(self, c) -> "AssocSeries":
@@ -485,11 +483,9 @@ def _gamma_word(word: str, n: int) -> dict[str, Q]:
     """gamma(l1...lk) = [...[[l1,l2],l3]...,lk] expanded into words."""
     out = {word[0]: Q(1)}
     for ch in word[1:]:
-        nxt: dict[str, Q] = {}
-        for w, c in out.items():
-            if len(w) + 1 <= n:
-                _accumulate(nxt, ((w + ch, c), (ch + w, -c)))
-        out = nxt
+        letter = {ch: 1}
+        ch_w = _product(letter, out, n, add, len)
+        out = _accumulate(_product(out, letter, n, add, len), ch_w.items(), -1)  # w ch - ch w
     return out
 
 

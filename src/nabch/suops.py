@@ -24,12 +24,14 @@ from itertools import permutations
 from math import factorial
 
 from . import hopf
+from .magma import node
 from .series import (
     Q,
     Series,
     _accumulate,
     _equal,
     _normalise,
+    _product,
     _render_terms,
     _scaled,
     left_normed_product,
@@ -40,45 +42,42 @@ def associator(a: Series, b: Series, c: Series) -> Series:
     return (a * b) * c - a * (b * c)
 
 
+def _proper(s: Series) -> dict:
+    """The Sweedler pairs of Delta(s) whose right slot is not the unit."""
+    return {k: c for k, c in hopf.coproduct(s).terms.items() if k[1] is not None}
+
+
 def p_series(u: Series, v: Series, z: Series) -> Series:
-    """The primitive p-operation on series arguments."""
+    """The primitive p-operation on series arguments.
+
+    An associator with a unit slot vanishes, so only the pairs (a, b) of
+    Delta(u) and (c, d) of Delta(v) with b and d not the unit contribute,
+    through their tensor product (w, bd) = (ac, bd), and so do only the terms
+    t of z.  Each adds w \\ ((bd)t) - w \\ (b(dt)), from cached quotients.
+    """
     n = min(u.truncation, v.truncation, z.truncation)
-    du = hopf.coproduct(u)
-    dv = hopf.coproduct(v)
+    pairs = _product(_proper(u), _proper(v), n - 1, hopf._tensor_join, hopf._key_degree)
     out: dict = {}
-    unit = Series.one(n)
-    for (a, b), cu in du.terms.items():
-        if b is None:
-            continue  # associator with a unit slot vanishes
-        sb = Series.monomial(b, n)
-        for (c, d), cv in dv.terms.items():
-            if d is None:
-                continue
-            w = hopf._graft(a, c)
-            if (0 if w is None else w.degree) + b.degree + d.degree > n:
-                continue
-            assoc = associator(sb, Series.monomial(d, n), z)
-            if assoc.is_zero():
-                continue
-            left = unit if w is None else Series.monomial(w, n)
-            # the associator, and so this quotient, has no constant term
-            _accumulate(out, hopf.left_divide(left, assoc).terms.items(), cu * cv)
+    for (w, bd), c in pairs.items():
+        room = n - hopf._key_degree((w, bd))
+        for t, ct in z.terms.items():
+            if t.degree <= room:
+                k = c * ct
+                _accumulate(out, hopf.left_divide_monomial(w, node(bd, t)).items(), k)
+                right = node(bd.left, node(bd.right, t))
+                _accumulate(out, hopf.left_divide_monomial(w, right).items(), -k)
     return Series(n, out)
 
 
 def su_bracket_series(u: Series, y: Series, z: Series) -> Series:
     """<u; y, z> for a series prefix u, including the unit-part convention.
 
-    The counit part of u contributes eps(u) * (-[y,z]); the positive part
-    goes through the p-operation.
+    The counit part of u contributes eps(u) * (-[y,z]); p ignores it, so
+    the whole of u goes through the p-operation.
     """
-    n = min(u.truncation, y.truncation, z.truncation)
-    out = Series.zero(n)
+    out = p_series(u, z, y) - p_series(u, y, z)
     if u.constant:
         out = out + u.constant * (z * y - y * z)
-    pos = u - Series(u.truncation, constant=u.constant)
-    if not pos.is_zero():
-        out = out + p_series(pos, z, y) - p_series(pos, y, z)
     return out
 
 
@@ -262,30 +261,27 @@ def _eval(e: PrimExpr) -> Series:
     return phi([eval_prim(p, d) for p in e.xs], [eval_prim(p, d) for p in e.ys])
 
 
-def expr_to_text(e: PrimExpr) -> str:
+def _render_expr(e: PrimExpr, style) -> str:
+    """e in ``style``: the bracket's delimiters, Phi's name, the space after ";"."""
     if isinstance(e, Gen):
         return e.name
     if isinstance(e, Commutator):
-        return f"[{expr_to_text(e.a)},{expr_to_text(e.b)}]"
+        return f"[{_render_expr(e.a, style)},{_render_expr(e.b, style)}]"
+    lang, rang, phi_name, sep = style
     if isinstance(e, SUBracket):
-        pre = ",".join(expr_to_text(p) for p in e.prefix)
-        return f"<{pre}; {expr_to_text(e.y)},{expr_to_text(e.z)}>"
-    xs = ",".join(expr_to_text(p) for p in e.xs)
-    ys = ",".join(expr_to_text(p) for p in e.ys)
-    return f"Phi({xs}; {ys})"
+        pre = ",".join(_render_expr(p, style) for p in e.prefix)
+        return f"{lang}{pre};{sep}{_render_expr(e.y, style)},{_render_expr(e.z, style)}{rang}"
+    xs = ",".join(_render_expr(p, style) for p in e.xs)
+    ys = ",".join(_render_expr(p, style) for p in e.ys)
+    return f"{phi_name}({xs};{sep}{ys})"
+
+
+def expr_to_text(e: PrimExpr) -> str:
+    return _render_expr(e, ("<", ">", "Phi", " "))
 
 
 def expr_to_latex(e: PrimExpr) -> str:
-    if isinstance(e, Gen):
-        return e.name
-    if isinstance(e, Commutator):
-        return f"[{expr_to_latex(e.a)},{expr_to_latex(e.b)}]"
-    if isinstance(e, SUBracket):
-        pre = ",".join(expr_to_latex(p) for p in e.prefix)
-        return f"\\langle {pre};{expr_to_latex(e.y)},{expr_to_latex(e.z)}\\rangle"
-    xs = ",".join(expr_to_latex(p) for p in e.xs)
-    ys = ",".join(expr_to_latex(p) for p in e.ys)
-    return f"\\Phi({xs};{ys})"
+    return _render_expr(e, ("\\langle ", "\\rangle", "\\Phi", ""))
 
 
 class PrimParseError(ValueError):

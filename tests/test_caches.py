@@ -67,3 +67,13 @@ def test_the_only_growing_module_dicts_are_the_intern_pools():
     }
     # SUITES is the fixed table of check suites, filled once at import
     assert dicts == {"nabch.magma._POOL", "nabch.suops._EXPR_POOL", "nabch.checks.SUITES"}
+
+
+def test_enumeration_memo_keys_on_the_normalised_alphabet():
+    from nabch.magma import GENERATORS, _monomials
+
+    _monomials.cache_clear()
+    for d in range(1, 9):
+        assert enumerate_monomials(d) == enumerate_monomials(d, GENERATORS)
+        assert enumerate_monomials(d, ["y", "x"]) == enumerate_monomials(d)
+    assert _monomials.cache_info().currsize == 8

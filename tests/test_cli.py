@@ -267,3 +267,30 @@ def test_bernoulli_recurrence_is_uncapped(capsys, monkeypatch):
     monkeypatch.setenv("BCH_MAX_DEGREE", "4")
     code, out, _ = run(capsys, "bernoulli", "--k", "40")
     assert code == 0 and out.strip() == str(bernoulli(40) / factorial(40))
+
+
+def test_nj_cap(capsys, monkeypatch):
+    from fractions import Fraction
+
+    from nabch.cli import NJ_CAP
+
+    monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
+    over = ",".join(["1"] * (NJ_CAP + 1))
+    for tup in (over, str(NJ_CAP + 1), f"{NJ_CAP},1"):
+        code, out, err = run(capsys, "nj", "--tuple", tup)
+        assert code == 2 and out == ""
+        assert f"degree {NJ_CAP + 1} exceeds the cap {NJ_CAP} of nj" in err and "2 s" in err
+    # past the cap n_J itself is stubbed: the all-ones tuple costs O(s^2) products
+    monkeypatch.setattr(magnus, "n_coeff", lambda j: Fraction(len(j)))
+    code, out, _ = run(capsys, "nj", "--tuple", ",".join(["1"] * NJ_CAP))
+    assert code == 0 and out.strip() == str(NJ_CAP)
+    code, out, _ = run(capsys, "nj", "--tuple", over, "--max-degree", str(NJ_CAP + 1))
+    assert code == 0 and out.strip() == str(NJ_CAP + 1)
+    monkeypatch.setenv("BCH_MAX_DEGREE", str(NJ_CAP + 1))
+    code, _, _ = run(capsys, "nj", "--tuple", over)
+    assert code == 0
+    monkeypatch.setenv("BCH_MAX_DEGREE", "4")
+    code, _, err = run(capsys, "nj", "--tuple", "3,2")
+    assert code == 2 and "cap 4" in err
+    code, _, _ = run(capsys, "nj", "--tuple", "3,2", "--max-degree", "5")
+    assert code == 0
