@@ -33,11 +33,13 @@ from .suops import PrimCombo
 SCHEMA_VERSION = "1"
 DEFAULT_DEGREE = 5
 DEFAULT_CAP = 8
-# The primitive route's cost grows much faster than the monomial route's: on
-# one core of a shared 2-core machine, expand --basis both took about 2.3 s at
-# degree 6 and about 30 s at degree 7, against 5 s for the monomial route at 8.
-PRIMITIVE_CAP = 6
-PRIMITIVE_NOTE = " of the primitive route, which took about 30 s at degree 7"
+# On one core of a shared 2-core machine, expand --basis primitive took about
+# 1 s at degree 7, 7 s at 8 and 41 s at 340 MB peak at 9.  --basis both also
+# evaluates every term, which dominates: about 1 s at degree 6, 9 s at 7.
+PRIMITIVE_CAP = 8
+PRIMITIVE_NOTE = " of the primitive route, which took about 41 s and 340 MB at degree 9"
+BOTH_CAP = 6
+BOTH_NOTE = " of expand --basis both, which took about 9 s at degree 7"
 # The cut route's left-spine recurrence takes about 3 ms for the slowest
 # degree-32 coefficient on the same machine; the cap keeps it bounded.
 CUTS_CAP = 32
@@ -122,8 +124,10 @@ def cmd_expand(args) -> int:
     n = args.degree
     if args.basis == "monomial":
         _check_degree(n, args.max_degree)
-    else:
+    elif args.basis == "primitive":
         _check_degree(n, args.max_degree, PRIMITIVE_CAP, PRIMITIVE_NOTE)
+    else:
+        _check_degree(n, args.max_degree, BOTH_CAP, BOTH_NOTE)
     params = {"degree": n, "basis": args.basis, "format": args.format}
     series = magnus.bch_monomial(n) if args.basis != "primitive" else None
     combo = magnus.bch_ode(n) if args.basis != "monomial" else None
@@ -307,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 f"override the degree cap (default {DEFAULT_CAP}, {PRIMITIVE_CAP} for "
-                f"expand --basis primitive|both, {CUTS_CAP} for coeff --method cuts, "
+                f"expand --basis primitive, {BOTH_CAP} for expand --basis both, "
+                f"{CUTS_CAP} for coeff --method cuts, "
                 f"{BERNOULLI_CAP} on k for bernoulli --method woon|fuchs|nj, {NJ_CAP} on the "
                 f"tuple's sum for nj; env {CAP_ENV})"
             ),

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .series import Q, Series, exp_l, log_l
+from .series import Q, Series, _distributions, exp_l, log_l
 from .suops import (
     GX,
     GY,
     PrimCombo,
     PrimExpr,
-    eval_prim,
+    _canon,
     phi_expr,
     su_bracket,
     su_bracket_expr,
@@ -151,22 +151,12 @@ def tau_exp_l(n: int) -> Series:
     return PrimCombo([kv for tau in tau_components(n) for kv in tau.terms.items()]).evaluate(n + 1)
 
 
-def _prune_zero_eval(combo: PrimCombo) -> PrimCombo:
-    """Drop terms whose exact evaluation vanishes (e.g. brackets with equal
-    tail slots produced by multilinear expansion)."""
-    out = {}
-    for e, c in combo.terms.items():
-        if not eval_prim(e, e.degree).is_zero():
-            out[e] = c
-    return PrimCombo(out)
-
-
 def tau_inverse_combo(n: int) -> PrimCombo:
     """y + sum n_J P_J(x;y) up to total degree n, symbolically."""
     pairs = [(GY, Q(1))]
     for weight in range(1, n):
         pairs += [(p_nested_expr(j), n_coeff(j)) for j in compositions(weight)]
-    return _prune_zero_eval(PrimCombo(pairs))
+    return PrimCombo(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +194,8 @@ def _cross_bracket(slots, cap: int) -> PrimCombo:
     ``slots`` lists each slot's terms as :func:`_by_degree` gives them, the
     tail slots y and z last.  A backtracking walk: a slot's loop stops at the
     first term that leaves too little room for the least degrees the later
-    slots still need.  Choices with equal tail slots are skipped, since
-    <u; a, a> = 0 and [a, a] = 0 exactly.
+    slots still need.  A term that antisymmetry alone makes zero
+    (:func:`suops._canon` gives None) is not kept.
     """
     if not all(slots):
         return PrimCombo()
@@ -223,10 +213,11 @@ def _cross_bracket(slots, cap: int) -> PrimCombo:
                 break
             if i < last:
                 walk(i + 1, budget - d, coeff * c, chosen + (e,))
-            elif e is not chosen[-1]:  # expressions are interned
+            else:
                 key = su_bracket_expr(chosen[:-1], chosen[-1], e)
-                prev = out.get(key)
-                out[key] = coeff * c if prev is None else prev + coeff * c
+                if _canon(key) is not None:
+                    prev = out.get(key)
+                    out[key] = coeff * c if prev is None else prev + coeff * c
 
     walk(0, cap, Q(1), ())
     return PrimCombo(out)
@@ -291,23 +282,10 @@ def bch_ode(n: int) -> PrimCombo:
                             prev = rhs.get(e)
                             rhs[e] = nj * c if prev is None else prev + nj * c
         scale = Q(1, k + 1)
-        part = PrimCombo({e: scale * c for e, c in rhs.items() if e.degree <= n})
-        omega.append(_prune_zero_eval(part))
+        omega.append(PrimCombo({e: scale * c for e, c in rhs.items() if e.degree <= n}))
         omega_terms.append(_by_degree(omega[-1]))
 
     return PrimCombo([kv for part in omega for kv in part.terms.items()]).up_to(n)
-
-
-@cache
-def _distributions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
-    """All ways to write ``total`` as an ordered sum of ``slots`` values >= 0."""
-    if slots == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _distributions(total - first, slots - 1):
-            out.append((first,) + rest)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

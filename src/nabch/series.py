@@ -489,13 +489,16 @@ def _gamma_word(word: str, n: int) -> dict[str, Q]:
     return out
 
 
-def _compositions_of(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions_of(total - first, parts - 1):
-            yield (first,) + rest
+@cache
+def _distributions(total: int, slots: int) -> tuple[tuple[int, ...], ...]:
+    """All ways to write ``total`` as an ordered sum of ``slots`` values >= 0."""
+    if slots == 1:
+        return ((total,),)
+    out = []
+    for first in range(total + 1):
+        for rest in _distributions(total - first, slots - 1):
+            out.append((first,) + rest)
+    return tuple(out)
 
 
 def dynkin_bch(n: int) -> AssocSeries:
@@ -509,9 +512,9 @@ def dynkin_bch(n: int) -> AssocSeries:
     out: dict[str, Q] = {}
     for total in range(1, n + 1):
         for blocks in range(1, total + 1):
-            for comp in _compositions_of(total, blocks):
-                # split each block p into x^r y^s with r + s = p
-                choices = [[(r, p - r) for r in range(p + 1)] for p in comp]
+            for spare in _distributions(total - blocks, blocks):
+                # split each block, of size q + 1, into x^r y^s with r + s = q + 1
+                choices = [[(r, q + 1 - r) for r in range(q + 2)] for q in spare]
                 for pick in itertools.product(*choices):
                     coeff = Q((-1) ** (blocks - 1), blocks) / total
                     word = ""

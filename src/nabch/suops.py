@@ -24,7 +24,7 @@ from itertools import permutations
 from math import factorial
 
 from . import hopf
-from .magma import node
+from .magma import ParseError, node
 from .series import (
     Q,
     Series,
@@ -232,6 +232,21 @@ def expr_degree(e: PrimExpr) -> int:
     return e.degree
 
 
+@cache
+def _canon(e: PrimExpr):
+    """The key e shares with every expression equal to +-e under [a,b] = -[b,a]
+    and <u; y, z> = -<u; z, y>, or None when these identities alone make e
+    zero: two tails equal up to sign, or a zero operand.  Gen and Phi keep
+    their own key, enough for route 2, which builds Phi from generators only."""
+    if isinstance(e, (Gen, Phi)):
+        return e.key
+    prefix, tails = ((), (e.a, e.b)) if isinstance(e, Commutator) else (e.prefix, (e.y, e.z))
+    keys = [_canon(x) for x in prefix + tails]
+    if None in keys or keys[-1] == keys[-2]:
+        return None
+    return (e.key[0], tuple(keys[:-2]), frozenset(keys[-2:]))
+
+
 def eval_prim(e: PrimExpr, n: int) -> Series:
     """Evaluate a symbolic expression to a truncated series.
 
@@ -284,10 +299,8 @@ def expr_to_latex(e: PrimExpr) -> str:
     return _render_expr(e, ("\\langle ", "\\rangle", "\\Phi", ""))
 
 
-class PrimParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class PrimParseError(ParseError):
+    """Malformed primitive-expression text; ``position`` is the offending index."""
 
 
 def parse_prim_expr(text: str) -> PrimExpr:

@@ -90,11 +90,13 @@ def test_degree_cap(capsys, monkeypatch):
 
 def test_primitive_route_cap(capsys, monkeypatch):
     monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
-    for basis in ("primitive", "both"):
-        code, out, err = run(capsys, "expand", "--degree", "7", "--basis", basis)
-        assert code == 2 and out == ""
-        assert "cap 6 of the primitive route" in err
-        assert "30 s at degree 7" in err
+    code, out, err = run(capsys, "expand", "--degree", "9", "--basis", "primitive")
+    assert code == 2 and out == ""
+    assert "cap 8 of the primitive route" in err and "at degree 9" in err
+    # evaluating every term for the comparison keeps --basis both lower
+    code, out, err = run(capsys, "expand", "--degree", "7", "--basis", "both")
+    assert code == 2 and out == ""
+    assert "cap 6 of expand --basis both" in err and "at degree 7" in err
     # the monomial route keeps its own cap
     code, _, err = run(capsys, "expand", "--degree", "9", "--basis", "monomial")
     assert code == 2 and "cap 8" in err and "primitive" not in err
@@ -105,12 +107,12 @@ def test_primitive_route_cap_yields_to_explicit_caps(capsys, monkeypatch):
     monkeypatch.setattr(magnus, "bch_ode", lambda n: PrimCombo.single(GX))
     monkeypatch.delenv("BCH_MAX_DEGREE", raising=False)
     primitive = ("expand", "--basis", "primitive")
-    code, out, _ = run(capsys, *primitive, "--degree", "7", "--max-degree", "7")
+    code, out, _ = run(capsys, *primitive, "--degree", "9", "--max-degree", "9")
     assert code == 0 and out.strip() == "degree 1: x"
     code, _, err = run(capsys, *primitive, "--degree", "5", "--max-degree", "4")
     assert code == 2 and "cap 4" in err
-    monkeypatch.setenv("BCH_MAX_DEGREE", "7")
-    code, _, _ = run(capsys, *primitive, "--degree", "7")
+    monkeypatch.setenv("BCH_MAX_DEGREE", "9")
+    code, _, _ = run(capsys, *primitive, "--degree", "9")
     assert code == 0
     monkeypatch.setenv("BCH_MAX_DEGREE", "4")
     code, _, err = run(capsys, *primitive, "--degree", "5")

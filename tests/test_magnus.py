@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
+from nabch import magnus, suops
 from nabch.magma import leaf, parse, relabel
 from nabch.magnus import (
     TimeSeries,
@@ -307,6 +309,35 @@ def test_bch_ode_degree3_matches_rewriting():
 def test_ode_projects_to_dynkin():
     for n in range(1, 6):
         assert project_associative(bch_ode(n).evaluate(n)) == dynkin_bch(n)
+
+
+def test_bch_ode_degree_7_is_pinned():
+    text = bch_ode(7).to_text()
+    want = "71b7e83b111a8f943e8fa92b01e20dd430ac7908c4e4605d8d90bb125b2f55cb"
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_the_walk_drops_exactly_the_keys_that_evaluate_to_zero(monkeypatch):
+    keys = set()
+
+    def recording(e):
+        keys.add(e)
+        return suops._canon(e)
+
+    monkeypatch.setattr(magnus, "_canon", recording)
+    for n in range(1, 7):
+        bch_ode.__wrapped__(n)
+    dropped = {e for e in keys if suops._canon(e) is None}
+    # exact evaluation is the oracle: the rule is sound and, here, complete
+    assert dropped == {e for e in keys if suops.eval_prim(e, e.degree).is_zero()}
+    assert (len(keys), len(dropped)) == (1260, 119)
+
+
+def test_bch_ode_evaluates_nothing():
+    suops._eval.cache_clear()
+    bch_ode.__wrapped__(6)
+    info = suops._eval.cache_info()
+    assert info.hits == info.misses == 0
 
 
 # -- the Magnus integrator

@@ -11,6 +11,7 @@ from nabch.suops import (
     Commutator,
     Gen,
     PrimCombo,
+    _canon,
     associator,
     eval_prim,
     expr_degree,
@@ -202,6 +203,23 @@ def test_eval_commutator():
     got = eval_prim(Commutator(GX, GY), 2)
     x, y = gens(2, "x", "y")
     assert got == x * y - y * x
+
+
+def test_canon_keys_agree_up_to_sign_and_spot_antisymmetric_zeros():
+    yx = Commutator(GY, GX)
+    yx_y, y_yx = Commutator(yx, GY), Commutator(GY, yx)  # y_yx = -yx_y
+    assert _canon(yx) == _canon(Commutator(GX, GY)) is not None
+    assert _canon(su_bracket_expr([GX], GX, GY)) == _canon(su_bracket_expr([GX], GY, GX))
+    assert _canon(su_bracket_expr([GX], GX, GY)) != _canon(su_bracket_expr([GY], GX, GY))
+    zeros = [
+        Commutator(y_yx, yx_y),
+        su_bracket_expr([GX], yx_y, y_yx),
+        Commutator(Commutator(yx_y, y_yx), GX),
+        su_bracket_expr([Commutator(GX, GX)], GX, GY),
+    ]
+    for e in zeros:
+        assert _canon(e) is None, e
+        assert eval_prim(e, e.degree).is_zero(), e
 
 
 def test_every_generator_expr_is_primitive():
