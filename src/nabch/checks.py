@@ -29,8 +29,6 @@ from .series import (
     dynkin_bch,
     exp_l,
     left_normed_product,
-    mono_mul,
-    mul_mono,
     project_associative,
 )
 from .suops import associator, p_series, phi, su_bracket, su_bracket_series
@@ -191,14 +189,13 @@ def check_suops(degree: int) -> list[CheckResult]:
                 for gz in "xyz":
                     ys = Series.generator(gy, nn)
                     zs = Series.generator(gz, nn)
-                    lhs = mul_mono(mono_mul(xbar, ys), leaf(gz)) - mul_mono(
-                        mono_mul(xbar, zs), leaf(gy)
-                    )
+                    xb = Series.monomial(xbar, nn)
+                    lhs = (xb * ys) * zs - (xb * zs) * ys
                     rhs = Series.zero(nn)
                     for (a, b), mult in hopf.coproduct_monomial(xbar).items():
                         bs = Series.one(nn) if b is None else Series.monomial(b, nn)
                         br = su_bracket_series(bs, ys, zs)
-                        rhs = rhs + mult * (br if a is None else mono_mul(a, br))
+                        rhs = rhs + mult * (br if a is None else Series.monomial(a, nn) * br)
                     if lhs != -1 * rhs:
                         ok = False
                         detail = f"word={''.join(letters)} y={gy} z={gz}"

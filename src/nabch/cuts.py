@@ -31,7 +31,7 @@ from functools import cache
 from math import factorial
 
 from .magma import Monomial, is_left_normed_word, leaf, left_normed_power, node
-from .series import Q, b_tau, bernoulli, tau_factorial
+from .series import Q, _spine, b_tau, bernoulli, tau_factorial
 
 _SLOT = leaf("x")  # skeletons are one-variable shapes
 
@@ -111,6 +111,12 @@ def c_tau(skeleton: Monomial) -> Q:
     return b_tau(skeleton) / tau_factorial(skeleton)
 
 
+# A call recurses once per level of right nesting, and a monomial of degree d
+# nests fewer than d levels; above _SHALLOW the nested factors are computed
+# bottom-up instead, so the recursion never exceeds _SHALLOW levels.
+_SHALLOW = 64
+
+
 @cache
 def coefficient_via_cuts(w: Monomial) -> Q:
     """The BCH coefficient of w, summed over its BCH-cuts without listing them.
@@ -123,11 +129,34 @@ def coefficient_via_cuts(w: Monomial) -> Q:
 
         F(w) = sum_k [w_0 = x^i y^j] B_k/(k! i! j!) F(t_1) ... F(t_k).
 
-    The k with B_k = 0 add nothing, and the walk stops once a factor F(t_i)
-    is zero.  Values are memoised per monomial.
+    Values are memoised per monomial.  Above degree _SHALLOW the factors
+    t_i of that degree, and theirs in turn, are evaluated from the deepest
+    up with an explicit stack, the smaller ones through the memo.
     """
+    if w.degree <= _SHALLOW:
+        return _spine_sum(w, coefficient_via_cuts)
+    found, stack = [], [w]
+    while stack:
+        m = stack.pop()
+        found.append(m)
+        for t in _spine(m):
+            if t.degree > _SHALLOW:
+                stack.append(t)
+    big = {}
+
+    def f(t):
+        return big[t] if t.degree > _SHALLOW else coefficient_via_cuts(t)
+
+    for m in reversed(found):  # each after the factors inside it
+        big[m] = _spine_sum(m, f)
+    return big[w]
+
+
+def _spine_sum(w: Monomial, f) -> Q:
+    """The sum F(w) above, with f giving F at the factors t_i.  The k with
+    B_k = 0 add nothing, and the walk stops once a factor f(t_i) is zero."""
     out = Q(0)
-    base, above, k = w, Q(1), 0  # above = F(t_1)...F(t_k) of the stripped factors
+    base, above, k = w, Q(1), 0  # above = f(t_1)...f(t_k) of the stripped factors
     while True:
         b = bernoulli(k)
         if b:
@@ -136,7 +165,7 @@ def coefficient_via_cuts(w: Monomial) -> Q:
                 out += b * above / (factorial(k) * factorial(shape[0]) * factorial(shape[1]))
         if base.is_leaf:
             break
-        above *= coefficient_via_cuts(base.right)
+        above *= f(base.right)
         if not above:
             break
         base, k = base.left, k + 1

@@ -18,17 +18,7 @@ from functools import cache
 from types import MappingProxyType
 
 from .magma import Monomial, mirror, monomial_from_json, monomial_to_json, node
-from .series import (
-    Q,
-    Series,
-    _accumulate,
-    _equal,
-    _join_truncation,
-    _normalise,
-    _product,
-    _render_terms,
-    _scaled,
-)
+from .series import Q, Combination, Series, _accumulate, _join_truncation, _product
 
 # Tensor-square keys are (left, right) with None standing for the unit slot.
 TensorKey = tuple
@@ -65,56 +55,25 @@ def _with_unit(s: Series):
     return {None: s.constant, **s.terms} if s.constant else s.terms
 
 
-class TensorSeries:
+class TensorSeries(Combination):
     """Sparse element of the tensor square, truncated on total pair degree;
     ``terms`` is read-only."""
 
-    __slots__ = ("truncation", "terms")
+    __slots__ = ()
 
-    def __init__(self, truncation: int, terms=None):
-        self.terms = _normalise(terms, truncation, _key_degree)
-        self.truncation = truncation
+    _degree = _key_degree
+    _join = _tensor_join
 
-    def coefficient(self, k: TensorKey) -> Q:
-        return self.terms.get(k, Q(0))
+    @staticmethod
+    def _order(k: TensorKey):
+        a, b = k
+        ka = (0,) if a is None else (1,) + a.key
+        kb = (0,) if b is None else (1,) + b.key
+        return (_key_degree(k), ka, kb)
 
-    def items(self):
-        def sort_key(kv):
-            a, b = kv[0]
-            ka = (0,) if a is None else (1,) + a.key
-            kb = (0,) if b is None else (1,) + b.key
-            return (_key_degree(kv[0]), ka, kb)
-
-        return sorted(self.terms.items(), key=sort_key)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    __eq__ = _equal
-
-    def __add__(self, other):
-        n = _join_truncation(self.truncation, other.truncation)
-        return TensorSeries(n, _accumulate(self.terms.copy(), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, TensorSeries):
-            n = _join_truncation(self.truncation, other.truncation)
-            return TensorSeries(n, _product(self.terms, other.terms, n, _tensor_join, _key_degree))
-        return self._scale(other)
-
-    def _scale(self, c):
-        return TensorSeries(self.truncation, _scaled(self.terms, Q(c)))
-
-    __rmul__ = _scale
-
-    def __repr__(self):
-        def pair(k):
-            return "(x)".join("1" if m is None else repr(m) for m in k)
-
-        return _render_terms(self.items(), pair, False)
+    @staticmethod
+    def _key_text(k: TensorKey) -> str:
+        return "(x)".join("1" if m is None else repr(m) for m in k)
 
 
 @cache

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
 from operator import add, attrgetter, itemgetter
 from types import MappingProxyType
@@ -38,23 +38,25 @@ class TruncationMismatchWarning(UserWarning):
     """Operands carried different truncation degrees; the minimum was used."""
 
 
-def _join_truncation(a: int, b: int) -> int:
-    if a != b:
-        warnings.warn(
-            f"mixing truncations {a} and {b}; result truncated at {min(a, b)}",
-            TruncationMismatchWarning,
-            stacklevel=3,
-        )
+def _join_truncation(a, b):
+    """The truncation of a result of operands truncated at a and b, which
+    are both None for a class without truncation."""
+    if a == b:
+        return a
+    warnings.warn(
+        f"mixing truncations {a} and {b}; result truncated at {min(a, b)}",
+        TruncationMismatchWarning,
+        stacklevel=3,
+    )
     return min(a, b)
 
 
 # ---------------------------------------------------------------------------
 # The sparse exact linear-combination core.  Series, AssocSeries, TensorSeries
-# and PrimCombo are finite rational combinations over a graded basis: a
-# read-only map from basis key to nonzero Fraction, built by _normalise.  The
-# functions below do the work the four classes share, products included
-# (_product, given the class's join and degree); each class adds only its key
-# type, canonical order and constant.
+# and PrimCombo are finite rational combinations over a graded basis, and
+# subclasses of Combination, which does their shared work through the
+# functions below; each class declares only its keys' degree, product, order
+# and rendering.
 
 
 def _normalise(terms, cap=None, degree=None) -> MappingProxyType:
@@ -98,11 +100,14 @@ def _accumulate(out: dict, pairs, scale=None) -> dict:
     return out
 
 
-def _product(p, q, cap: int, join, degree=attrgetter("degree")) -> dict:
+def _product(p, q, cap: int, join, degree=None) -> dict:
     """The sum of ``ca * cb`` at ``join(a, b)`` over the pairs (a, ca) of ``p``
     and (b, cb) of ``q`` whose degrees add up to at most ``cap``; zeros are
-    left for :func:`_normalise`.  ``q`` is sorted by degree once, so the inner
-    loop stops at the first key too heavy for ``a``."""
+    left for :func:`_normalise`.  ``degree`` is as in :func:`_normalise`.
+    ``q`` is sorted by degree once, so the inner loop stops at the first key
+    too heavy for ``a``."""
+    if degree is None:
+        degree = attrgetter("degree")
     qs = sorted(((degree(b), b, cb) for b, cb in q.items()), key=itemgetter(0))
     out = {}
     for a, ca in p.items():
@@ -116,28 +121,132 @@ def _product(p, q, cap: int, join, degree=attrgetter("degree")) -> dict:
     return out
 
 
-def _equal(a, b):
-    """a == b for two combinations: the same class and equal slots, that is
-    equal terms and, where the class has them, truncation and constant."""
-    if type(b) is not type(a):
-        return NotImplemented
-    return all(getattr(a, k) == getattr(b, k) for k in a.__slots__)
+class Combination:
+    """A finite rational combination over a graded basis: a read-only map
+    ``terms`` from basis key to nonzero Fraction, a truncation degree (None
+    where the class has none) and a constant term (0 where it has none).
 
+    A subclass declares, all read from the class:
 
-def _scaled(terms, c: Q) -> dict:
-    """The Fraction ``c`` times every coefficient of ``terms``."""
-    return {k: c * v for k, v in terms.items()}
+    - ``_degree``: key -> degree; None keeps :func:`_normalise`'s fast
+      ``key.degree`` path
+    - ``_join``: the product of two keys; None where keys do not multiply
+    - ``_order``: key -> sort key of the canonical order
+    - ``_key_text`` and ``_key_latex``: key -> text; without a LaTeX
+      renderer the text one serves
+    - ``_truncated``: False for a class without truncation, whose
+      constructor takes the terms alone: ``PrimCombo(terms)``
 
-
-class Series:
-    """Sparse truncated series; ``terms`` is read-only."""
+    Combinations of different classes never compare equal, add or multiply.
+    """
 
     __slots__ = ("truncation", "constant", "terms")
 
-    def __init__(self, truncation: int, terms=None, constant=0):
-        self.terms = _normalise(terms, truncation)
+    _degree = None
+    _join = None
+    _order = None
+    _key_text = repr
+    _key_latex = None
+    _truncated = True
+
+    def __init__(self, truncation=None, terms=None, constant=0):
+        if not self._truncated:
+            truncation, terms = None, truncation
+        elif truncation is None:
+            raise TypeError(f"{type(self).__name__} needs a truncation degree")
+        self.terms = _normalise(terms, truncation, type(self)._degree)
         self.truncation = truncation
         self.constant = constant if type(constant) is Fraction else Q(constant)
+
+    def _new(self, truncation, terms, constant):
+        """A combination of self's class with the given fields."""
+        if self._truncated:
+            return type(self)(truncation, terms, constant)
+        return type(self)(terms)
+
+    def coefficient(self, key) -> Q:
+        """Stored coefficient or 0; queries above the truncation are unreliable
+        and therefore rejected."""
+        if self.truncation is not None:
+            d = key.degree if self._degree is None else type(self)._degree(key)
+            if d > self.truncation:
+                raise ValueError(
+                    f"degree {d} exceeds truncation {self.truncation}; coefficient unknown"
+                )
+        return self.terms.get(key, Q(0))
+
+    def items(self):
+        """(key, coefficient) pairs in canonical order."""
+        terms = self.terms
+        return [(k, terms[k]) for k in sorted(terms, key=type(self)._order)]
+
+    def is_zero(self) -> bool:
+        return not self.terms and not self.constant
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.truncation == other.truncation
+            and self.constant == other.constant
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        n = _join_truncation(self.truncation, other.truncation)
+        out = _accumulate(self.terms.copy(), other.terms.items())
+        return self._new(n, out, self.constant + other.constant)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new(self.truncation, {k: -c for k, c in self.terms.items()}, -self.constant)
+
+    def __mul__(self, other):
+        """The degree-capped product of two combinations of a class whose keys
+        multiply, constants included; otherwise scaling by a number."""
+        cls = type(self)
+        if type(other) is not cls or cls._join is None:
+            return self._scale(other)
+        n = _join_truncation(self.truncation, other.truncation)
+        out = _product(self.terms, other.terms, n, cls._join, cls._degree)
+        if self.constant:
+            _accumulate(out, other.terms.items(), self.constant)
+        if other.constant:
+            _accumulate(out, self.terms.items(), other.constant)
+        return self._new(n, out, self.constant * other.constant)
+
+    def _scale(self, c):
+        c = Q(c)
+        terms = {k: c * v for k, v in self.terms.items()}
+        return self._new(self.truncation, terms, c * self.constant)
+
+    __rmul__ = _scale
+
+    def to_text(self, latex: bool = False) -> str:
+        cls = type(self)
+        render = cls._key_latex if latex and cls._key_latex else cls._key_text
+        return _render_terms(self.items(), render, latex, self.constant)
+
+    def __repr__(self):
+        return self.to_text()
+
+
+class Series(Combination):
+    """Sparse truncated series over free-magma monomials; ``terms`` is
+    read-only."""
+
+    __slots__ = ()
+
+    _join = node
+    _order = attrgetter("key")
+
+    _key_latex = partial(format_monomial, style="latex")
 
     @classmethod
     def zero(cls, truncation: int) -> "Series":
@@ -154,22 +263,6 @@ class Series:
     @classmethod
     def monomial(cls, m: Monomial, truncation: int, coeff=1) -> "Series":
         return cls(truncation, {m: Q(coeff)})
-
-    def coefficient(self, m: Monomial) -> Q:
-        """Stored coefficient or 0; queries above the truncation are unreliable
-        and therefore rejected."""
-        if m.degree > self.truncation:
-            raise ValueError(
-                f"degree {m.degree} exceeds truncation {self.truncation}; coefficient unknown"
-            )
-        return self.terms.get(m, Q(0))
-
-    def items(self):
-        """(monomial, coefficient) pairs in canonical order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key)
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.constant
 
     def min_degree(self):
         """Smallest degree present, 0 for the constant; None if zero."""
@@ -191,53 +284,16 @@ class Series:
         """Linear extension of a monomial map f: Monomial -> Monomial."""
         return Series(self.truncation, ((f(m), c) for m, c in self.terms.items()), self.constant)
 
-    __eq__ = _equal
-
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        n = _join_truncation(self.truncation, other.truncation)
-        out = _accumulate(self.terms.copy(), other.terms.items())
-        return Series(n, out, self.constant + other.constant)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Series(self.truncation, {m: -c for m, c in self.terms.items()}, -self.constant)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            n = _join_truncation(self.truncation, other.truncation)
-            out = _product(self.terms, other.terms, n, node)
-            if self.constant:
-                _accumulate(out, other.terms.items(), self.constant)
-            if other.constant:
-                _accumulate(out, self.terms.items(), other.constant)
-            return Series(n, out, self.constant * other.constant)
-        return self._scale(other)
-
-    def _scale(self, c) -> "Series":
-        c = Q(c)
-        return Series(self.truncation, _scaled(self.terms, c), c * self.constant)
-
-    __rmul__ = _scale
-
     def __truediv__(self, other):
         return self._scale(Q(1, 1) / Q(other))
 
-    def __repr__(self):
-        return format_series(self)
-
-
-def mono_mul(m: Monomial, s: Series) -> Series:
-    """m * s, the monomial acting on the left."""
-    return Series.monomial(m, s.truncation) * s
-
-
-def mul_mono(s: Series, m: Monomial) -> Series:
-    """s * m, the monomial acting on the right."""
-    return s * Series.monomial(m, s.truncation)
+    # bound in the class body too: bench/spans.py wraps what it finds in Series.__dict__
+    __eq__ = Combination.__eq__
+    __add__ = Combination.__add__
+    __sub__ = Combination.__sub__
+    __neg__ = Combination.__neg__
+    __mul__ = Combination.__mul__
+    __rmul__ = Combination.__rmul__
 
 
 def left_normed_product(factors) -> Series:
@@ -412,61 +468,22 @@ def log_l(s: Series, n: int | None = None) -> Series:
 # Associative projection and the Dynkin series.
 
 
-class AssocSeries:
+class AssocSeries(Combination):
     """Truncated series on flat words over {x, y}; ``terms`` is read-only."""
 
-    __slots__ = ("truncation", "constant", "terms")
+    __slots__ = ()
 
-    def __init__(self, truncation: int, terms=None, constant=0):
-        self.terms = _normalise(terms, truncation, len)
-        self.truncation = truncation
-        self.constant = Q(constant)
+    _degree = len
+    _join = add
+    _key_text = str
+
+    @staticmethod
+    def _order(w):
+        return (len(w), w)
 
     @classmethod
     def zero(cls, truncation: int) -> "AssocSeries":
         return cls(truncation)
-
-    def coefficient(self, w: str) -> Q:
-        if len(w) > self.truncation:
-            raise ValueError(f"word length {len(w)} exceeds truncation {self.truncation}")
-        return self.terms.get(w, Q(0))
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.constant
-
-    __eq__ = _equal
-
-    def __add__(self, other):
-        n = _join_truncation(self.truncation, other.truncation)
-        out = _accumulate(self.terms.copy(), other.terms.items())
-        return AssocSeries(n, out, self.constant + other.constant)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, AssocSeries):
-            n = _join_truncation(self.truncation, other.truncation)
-            out = _product(self.terms, other.terms, n, add, len)
-            _accumulate(out, other.terms.items(), self.constant)
-            _accumulate(out, self.terms.items(), other.constant)
-            return AssocSeries(n, out, self.constant * other.constant)
-        return self._scale(other)
-
-    def _scale(self, c) -> "AssocSeries":
-        c = Q(c)
-        return AssocSeries(self.truncation, _scaled(self.terms, c), c * self.constant)
-
-    __rmul__ = _scale
-
-    def __repr__(self):
-        return _render_terms(self.items(), str, False, self.constant)
 
 
 @cache
@@ -558,10 +575,7 @@ def _coeff_str(c: Q, latex: bool) -> str:
 
 
 def format_series(s: Series, style: str = "compact") -> str:
-    latex = style == "latex"
-    return _render_terms(
-        s.items(), lambda m: format_monomial(m, "latex" if latex else "compact"), latex, s.constant
-    )
+    return s.to_text(style == "latex")
 
 
 def series_to_json(s: Series) -> dict:

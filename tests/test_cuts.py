@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nabch.cuts import (
+    _spine_sum,
     c_tau,
     closed_form_xmyn,
     coefficient_via_cuts,
@@ -232,3 +233,35 @@ def test_closed_form_matches_recurrence_from_degree_8_to_24():
     for m in range(1, 24):
         for n in range(max(1, 8 - m), 25 - m):
             assert closed_form_xmyn(m, n) == coefficient_via_cuts(xmyn_monomial(m, n)), (m, n)
+
+
+# -- deep monomials
+
+
+def _right_nested(letters, inner):
+    """l1(l2(...(lk inner))) over the monomials ``letters``."""
+    for m in reversed(letters):
+        inner = node(m, inner)
+    return inner
+
+
+def test_a_right_nest_of_depth_5000_stays_under_the_recursion_limit():
+    # every y(...) factor multiplies by B_1 = -1/2; a plain recursion would
+    # go one level per factor, past the default limit of 1000
+    w = _right_nested([Y] * 5000, X)
+    assert coefficient_via_cuts(w) == F(-1, 2) ** 5000
+
+
+def _plain(w):
+    """The left-spine recurrence as a plain recursion, without the memo."""
+    return _spine_sum(w, _plain)
+
+
+def test_deep_monomials_match_the_plain_recursion():
+    xy = parse("(xy)")
+    chain = _right_nested([xy, Y, parse("((xx)y)")] * 30, X)  # degree 181
+    other = _right_nested([Y, xy] * 40, Y)  # degree 121
+    cases = [chain, other, node(node(X, chain), other), node(chain, other)]
+    for w in cases:
+        assert coefficient_via_cuts.__wrapped__(w) == _plain(w)
+    assert all(coefficient_via_cuts(w) for w in cases[:3])

@@ -6,7 +6,7 @@ import pytest
 
 from nabch.hopf import coproduct_monomial, is_primitive
 from nabch.magma import leaf, node
-from nabch.series import Q, Series, exp_l, left_normed_product, mono_mul, mul_mono, project_associative
+from nabch.series import Q, Series, exp_l, left_normed_product, project_associative
 from nabch.suops import (
     Commutator,
     Gen,
@@ -126,14 +126,13 @@ def test_bracket_recursion_identity_three_letters():
                 for gz in "xyz":
                     ys = Series.generator(gy, n)
                     zs = Series.generator(gz, n)
-                    lhs = mul_mono(mono_mul(ubar, ys), leaf(gz)) - mul_mono(
-                        mono_mul(ubar, zs), leaf(gy)
-                    )
+                    us = Series.monomial(ubar, n)
+                    lhs = (us * ys) * zs - (us * zs) * ys
                     rhs = Series.zero(n)
                     for (a, b), mult in coproduct_monomial(ubar).items():
                         sb = Series.one(n) if b is None else Series.monomial(b, n)
                         br = su_bracket_series(sb, ys, zs)
-                        rhs = rhs + mult * (br if a is None else mono_mul(a, br))
+                        rhs = rhs + mult * (br if a is None else Series.monomial(a, n) * br)
                     assert lhs == -1 * rhs
 
 
