@@ -54,10 +54,10 @@ BERNOULLI_NOTE = " of the 2^k Bernoulli methods"
 # machine.  The cap is on the weight, which bounds the length and each part.
 NJ_CAP = 256
 NJ_NOTE = " of nj, whose all-ones tuple took about 2 s at weight 400"
-# Parsing recurses once per nesting level, and the cut route once per right
-# factor, at two interpreter frames a level through its cache.  Under the
-# default recursion limit of 1000, a right-nested monomial failed at depth
-# 495; the bound leaves room for a caller's own frames.
+# Parsing recurses once per nesting level; the cut route does not, as it walks
+# deep monomials from an explicit stack.  Under the default recursion limit of
+# 1000, a right nest of depth 995 parses and one of depth 1,200 raises
+# RecursionError; the bound leaves room for a caller's own frames.
 MAX_NESTING = 400
 CAP_ENV = "BCH_MAX_DEGREE"
 

@@ -1,11 +1,13 @@
 """Free-magma monomials over {x, y}: leaf-labelled binary planar rooted trees.
 
 A monomial is either a single generator or the ordered product of two
-monomials.  Instances are immutable and interned, so equality is cheap and
-they can serve as dictionary keys throughout the series layer.  The total
-order used everywhere (printing, iteration, golden tests) compares degree
-first, puts leaves before products, orders leaves alphabetically and
-products lexicographically by (left, right).
+monomials.  Instances are immutable and hash-consed: the pool keys a leaf by
+its letter and a product by the identities of its two factors, so equal
+trees are the same object and identity is the only equality.  The pool is
+append-only; clearing it while a memo still held a tree would make that tree
+unequal to its rebuilt twin.  The total order used everywhere (printing,
+iteration, golden tests) compares degree first, puts leaves before products,
+orders leaves alphabetically and products lexicographically by (left, right).
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ class Monomial:
 
     Build instances with :func:`leaf`, :func:`node`, :func:`parse` or
     :func:`left_normed_power`; direct construction is internal.  ``key`` is
-    a nested tuple that uniquely encodes the tree and realizes the canonical
-    order under plain tuple comparison.
+    a nested tuple that realizes the canonical order under plain tuple
+    comparison; it serves the order alone, never equality or hashing.
     """
 
-    __slots__ = ("var", "left", "right", "degree", "xdeg", "ydeg", "vars", "key", "_hash")
+    __slots__ = ("var", "left", "right", "degree", "xdeg", "ydeg", "vars", "key")
 
     def __init__(self, var, left, right, degree, xdeg, ydeg, vars_, key):
         self.var = var
@@ -50,21 +52,10 @@ class Monomial:
         self.ydeg = ydeg
         self.vars = vars_
         self.key = key
-        self._hash = hash(key)
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.key == other.key
 
     def __lt__(self, other):
         return self.key < other.key
@@ -82,7 +73,7 @@ class Monomial:
         return format_monomial(self)
 
     def __reduce__(self):
-        return (_from_key, (self.key,))
+        return (leaf, (self.var,)) if self.is_leaf else (node, (self.left, self.right))
 
 
 def leaf(var: str) -> Monomial:
@@ -99,29 +90,15 @@ def leaf(var: str) -> Monomial:
 
 def node(left: Monomial, right: Monomial) -> Monomial:
     """The ordered product of two monomials."""
-    key = (left.degree + right.degree, 1, left.key, right.key)
-    m = _POOL.get(key)
+    m = _POOL.get((left, right))
     if m is not None:
         return m
+    d = left.degree + right.degree
     vars_ = left.vars if left.vars == right.vars else tuple(sorted(set(left.vars) | set(right.vars)))
-    m = Monomial(
-        None,
-        left,
-        right,
-        left.degree + right.degree,
-        left.xdeg + right.xdeg,
-        left.ydeg + right.ydeg,
-        vars_,
-        key,
-    )
-    _POOL[key] = m
+    key = (d, 1, left.key, right.key)
+    m = Monomial(None, left, right, d, left.xdeg + right.xdeg, left.ydeg + right.ydeg, vars_, key)
+    _POOL[left, right] = m
     return m
-
-
-def _from_key(key):
-    if key[1] == 0:
-        return leaf(key[2])
-    return node(_from_key(key[2]), _from_key(key[3]))
 
 
 X = leaf("x")
@@ -142,7 +119,7 @@ def compare(a: Monomial, b: Monomial) -> int:
     """-1, 0 or 1 per the canonical order."""
     if a.key < b.key:
         return -1
-    return 0 if a.key == b.key else 1
+    return 0 if a is b else 1
 
 
 def left_normed_power(v, n: int) -> Monomial:
@@ -263,12 +240,14 @@ def format_monomial(m: Monomial, style: str = "compact") -> str:
 
 
 def enumerate_monomials(n: int, alphabet: tuple[str, ...] = GENERATORS) -> tuple[Monomial, ...]:
-    """All monomials of degree n over ``alphabet``, canonically sorted.
+    """All monomials of degree n over the distinct letters of ``alphabet``,
+    canonically sorted.
 
-    There are Catalan(n-1) * len(alphabet)**n of them.  The alphabet is
-    normalised before the memo, so every way of passing it shares one entry.
+    There are Catalan(n-1) * k**n of them for k distinct letters.  The
+    alphabet is normalised before the memo, so every way of passing it
+    shares one entry.
     """
-    return _monomials(n, tuple(sorted(alphabet)))
+    return _monomials(n, tuple(sorted(set(alphabet))))
 
 
 @cache

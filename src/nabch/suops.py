@@ -102,9 +102,10 @@ def phi(xs, ys) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic expressions.  Interned immutable trees: equal expressions are the
-# same object, hash and degree are precomputed (they key every sparse
-# combination and the interpreter cache).
+# Symbolic expressions.  Hash-consed immutable trees: the pool keys a node on
+# its class and constructor arguments, so equal expressions are the same object
+# and identity is the only equality.  The pool is append-only; clearing it while
+# a memo still held an expression would make it unequal to its rebuilt twin.
 
 _EXPR_POOL: dict = {}
 
@@ -112,34 +113,28 @@ _EXPR_POOL: dict = {}
 class PrimExpr:
     """Base of the symbolic expression nodes; not instantiated directly."""
 
-    __slots__ = ("key", "degree", "_hash")
+    __slots__ = ("degree",)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PrimExpr):
-            return NotImplemented
-        return self.key == other.key
+    @property
+    def args(self) -> tuple:
+        """The constructor's arguments, one per slot of the node's class."""
+        return tuple(getattr(self, name) for name in type(self).__slots__)
 
     def __repr__(self):
         return expr_to_text(self)
 
     def __reduce__(self):
-        return (_expr_from_key, (self.key,))
+        return (type(self), self.args)
 
 
-def _intern(cls, key, degree, fields):
+def _intern(cls, args, degree):
+    key = (cls, *args)
     got = _EXPR_POOL.get(key)
     if got is not None:
         return got
     self = object.__new__(cls)
-    self.key = key
     self.degree = degree
-    self._hash = hash(key)
-    for name, value in fields:
+    for name, value in zip(cls.__slots__, args):
         setattr(self, name, value)
     _EXPR_POOL[key] = self
     return self
@@ -149,15 +144,14 @@ class Gen(PrimExpr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _intern(cls, ("g", name), 1, (("name", name),))
+        return _intern(cls, (name,), 1)
 
 
 class Commutator(PrimExpr):
     __slots__ = ("a", "b")
 
     def __new__(cls, a: PrimExpr, b: PrimExpr):
-        key = ("c", a.key, b.key)
-        return _intern(cls, key, a.degree + b.degree, (("a", a), ("b", b)))
+        return _intern(cls, (a, b), a.degree + b.degree)
 
 
 class SUBracket(PrimExpr):
@@ -167,9 +161,8 @@ class SUBracket(PrimExpr):
         prefix = tuple(prefix)
         if not prefix:
             raise ValueError("empty bracket prefix; the m = 0 case is a Commutator")
-        key = ("s", tuple(p.key for p in prefix), y.key, z.key)
         deg = sum(p.degree for p in prefix) + y.degree + z.degree
-        return _intern(cls, key, deg, (("prefix", prefix), ("y", y), ("z", z)))
+        return _intern(cls, (prefix, y, z), deg)
 
 
 class Phi(PrimExpr):
@@ -180,26 +173,8 @@ class Phi(PrimExpr):
         ys = tuple(ys)
         if not xs or len(ys) < 2:
             raise ValueError("Phi needs m >= 1 prefix arguments and >= 2 tail arguments")
-        key = ("p", tuple(p.key for p in xs), tuple(p.key for p in ys))
         deg = sum(p.degree for p in xs) + sum(p.degree for p in ys)
-        return _intern(cls, key, deg, (("xs", xs), ("ys", ys)))
-
-
-def _expr_from_key(key):
-    tag = key[0]
-    if tag == "g":
-        return Gen(key[1])
-    if tag == "c":
-        return Commutator(_expr_from_key(key[1]), _expr_from_key(key[2]))
-    if tag == "s":
-        return SUBracket(
-            tuple(_expr_from_key(k) for k in key[1]),
-            _expr_from_key(key[2]),
-            _expr_from_key(key[3]),
-        )
-    return Phi(
-        tuple(_expr_from_key(k) for k in key[1]), tuple(_expr_from_key(k) for k in key[2])
-    )
+        return _intern(cls, (xs, ys), deg)
 
 
 GX = Gen("x")
@@ -226,15 +201,15 @@ def expr_degree(e: PrimExpr) -> int:
 def _canon(e: PrimExpr):
     """The key e shares with every expression equal to +-e under [a,b] = -[b,a]
     and <u; y, z> = -<u; z, y>, or None when these identities alone make e
-    zero: two tails equal up to sign, or a zero operand.  Gen and Phi keep
+    zero: two tails equal up to sign, or a zero operand.  Gen and Phi are
     their own key, enough for route 2, which builds Phi from generators only."""
     if isinstance(e, (Gen, Phi)):
-        return e.key
+        return e
     prefix, tails = ((), (e.a, e.b)) if isinstance(e, Commutator) else (e.prefix, (e.y, e.z))
     keys = [_canon(x) for x in prefix + tails]
     if None in keys or keys[-1] == keys[-2]:
         return None
-    return (e.key[0], tuple(keys[:-2]), frozenset(keys[-2:]))
+    return (type(e), tuple(keys[:-2]), frozenset(keys[-2:]))
 
 
 def eval_prim(e: PrimExpr, n: int) -> Series:

@@ -127,6 +127,10 @@ def test_enumeration_count(n):
     assert len(set(ms)) == len(ms)
 
 
+def test_enumeration_counts_a_repeated_letter_once():
+    assert enumerate_monomials(2, ("x", "x")) == enumerate_monomials(2, ("x",))
+
+
 def test_enumeration_small():
     assert [format_monomial(m) for m in enumerate_monomials(1)] == ["x", "y"]
     assert [format_monomial(m) for m in enumerate_monomials(2)] == [

@@ -1,16 +1,20 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
 from nabch.hopf import coproduct_monomial, is_primitive
-from nabch.magma import leaf, node
+from nabch.magma import leaf, node, parse
 from nabch.series import Q, Series, exp_l, left_normed_product, project_associative
 from nabch.suops import (
     Commutator,
     Gen,
+    Phi,
     PrimCombo,
+    SUBracket,
     _canon,
     associator,
     eval_prim,
@@ -250,6 +254,23 @@ def test_expr_text_round_trip():
     ]
     for e in exprs:
         assert parse_prim_expr(expr_to_text(e)) == e
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        parse("((xy)(x(yy)))"),
+        GX,
+        Commutator(GY, Commutator(GX, GY)),
+        SUBracket([GX, Commutator(GX, GY)], GY, GX),
+        Phi([GX, GY], [GY, Commutator(GX, GY)]),
+    ],
+    ids=["monomial", "Gen", "Commutator", "SUBracket", "Phi"],
+)
+def test_pickle_and_deepcopy_return_the_interned_object(value):
+    # identity is the only equality of interned trees, so a copy must come from the pool
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert copy.deepcopy(value) is value
 
 
 def test_parser_normalizes_prefix_free_bracket():
