@@ -83,14 +83,12 @@ from .dsw import (
     y_partial_x,
 )
 from .magnus import (
-    TimeSeries,
     bch_first_order,
     bch_first_order_combo,
     bch_monomial,
     bch_ode,
     compositions,
     m_coeff,
-    magnus_solve,
     n_coeff,
     p_nested,
     p_nested_expr,

@@ -33,13 +33,14 @@ from .suops import PrimCombo
 SCHEMA_VERSION = "1"
 DEFAULT_DEGREE = 5
 DEFAULT_CAP = 8
-# On one core of a shared 2-core machine, expand --basis primitive took about
-# 1 s at degree 7, 7 s at 8 and 41 s at 340 MB peak at 9.  --basis both also
-# evaluates every term, which dominates: about 1 s at degree 6, 9 s at 7.
+# On one core of a shared 2-core machine (Python 3.11), expand --basis
+# primitive took about 0.5 s at degree 7, 3 s at 74 MB peak at 8 and 23 s at
+# 360 MB peak at 9 (21 s at 417 MB as JSON).  --basis both also evaluates
+# every term, which dominates: about 1 s at degree 6, 14 s at 79 MB at 7.
 PRIMITIVE_CAP = 8
-PRIMITIVE_NOTE = " of the primitive route, which took about 41 s and 340 MB at degree 9"
+PRIMITIVE_NOTE = " of the primitive route, which took about 23 s and 360 MB at degree 9"
 BOTH_CAP = 6
-BOTH_NOTE = " of expand --basis both, which took about 9 s at degree 7"
+BOTH_NOTE = " of expand --basis both, which took about 14 s at degree 7"
 # The cut route's left-spine recurrence takes about 3 ms for the slowest
 # degree-32 coefficient on the same machine; the cap keeps it bounded.
 CUTS_CAP = 32

@@ -8,20 +8,22 @@ copies at level i.  Its inverse carries the alternating coefficients
     n_J = sum over concatenation factorizations J = J_1 || ... || J_l
           of (-1)^l m_{J_1} ... m_{J_l},
 
-which drive both the Magnus-type ODE  Omega' = A + sum_J n_J P_J(Omega; A)
-and the two primitive-basis constructions of log_l(exp_l(x) exp_l(y)).
+which give the inverse tangent map and the first-order BCH term.  The full
+series in the primitive basis solves the Magnus-type ODE Omega' = tau_Omega^{-1}(D),
+equal to D + sum_J n_J P_J(Omega; D); it is computed by the tangent map's
+own recurrence, degree by degree, in place of the composition sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .series import Q, Series, _distributions, exp_l, log_l
+from .series import Q, Series, _accumulate, exp_l, log_l
 from .suops import (
     GX,
     GY,
+    Gen,
     PrimCombo,
     PrimExpr,
     _canon,
@@ -125,22 +127,78 @@ def tau_inverse(u: Series, v: Series) -> Series:
     return _weighted_sum(u, v, n_coeff)
 
 
+def _cross_bracket(slots, d: int, out: dict, scale: Q) -> None:
+    """Add ``scale`` times the degree-d component of the bracket
+    <s_1, ..., s_m; y, z>, expanded multilinearly over combination-valued
+    slots, into ``out``.
+
+    ``slots`` lists each slot's (expr, coeff) terms in ascending degree, the
+    tail slots y and z last.  A backtracking walk: a slot's loop stops at the
+    first term that leaves too little room for the least degrees the later
+    slots still need, and the last slot keeps a term only when it fills the
+    budget exactly.  A term that antisymmetry alone makes zero
+    (:func:`suops._canon` gives None) is not kept.
+    """
+    if not all(slots):
+        return
+    last = len(slots) - 1
+    need = [0] * (last + 2)  # need[i]: least degree of slots i..last
+    for i in range(last, -1, -1):
+        need[i] = need[i + 1] + slots[i][0][0].degree
+
+    def walk(i: int, budget: int, coeff: Q, chosen: tuple) -> None:
+        room = budget - need[i + 1]
+        for e, c in slots[i]:
+            deg = e.degree
+            if deg > room:
+                break
+            if i < last:
+                walk(i + 1, budget - deg, coeff * c, chosen + (e,))
+            elif deg == budget:
+                key = su_bracket_expr(chosen[:-1], chosen[-1], e)
+                if _canon(key) is not None:
+                    prev = out.get(key)
+                    out[key] = coeff * c if prev is None else prev + coeff * c
+
+    walk(0, d, scale, ())
+
+
+def _tangent_step(omega: list, taus: list, d: int, keep: bool = True) -> dict:
+    """The sum of the degree-d parts of tau_j(Omega; T) over j = 1 .. d-1;
+    with ``keep``, each part is also appended to ``taus[j]``.
+
+    tau_0 = T and tau_j = sum_{i=1..j} 1/((j+1)(j-i)!) <Omega^(j-i); Omega, tau_{i-1}>,
+    multilinear in its j copies of Omega.  Every slot has degree >= 1, so the
+    degree-d part reads only parts below degree d: ``omega`` and each
+    ``taus[j]`` are term lists in ascending degree holding at least those.
+    """
+    total: dict = {}
+    for j in range(1, d):
+        part: dict = {}
+        for i in range(1, j + 1):
+            scale = Q(1, (j + 1) * factorial(j - i))
+            _cross_bracket([omega] * (j - i + 1) + [taus[i - 1]], d, part, scale)
+        _accumulate(total, part.items())
+        if keep:
+            part = [(e, c) for e, c in part.items() if c]
+            if j == len(taus):
+                taus.append(part)
+            else:
+                taus[j] += part
+    return total
+
+
 @cache
 def tau_components(n: int) -> tuple[PrimCombo, ...]:
-    """tau_0 .. tau_n of the tangent map, as primitive-operation combinations.
+    """tau_0 .. tau_n of the tangent map, as primitive-operation combinations:
+    the tangent step with Omega = x and T = y, so tau_k has degree k + 1.
 
     tau_0 = y and tau_k = sum_{i=1..k} 1/(k+1) * 1/(k-i)! <x^(k-i); x, tau_{i-1}>.
     """
-    taus = [PrimCombo.single(GY)]
-    for k in range(1, n + 1):
-        pairs = []
-        for i in range(1, k + 1):
-            scale = Q(1, (k + 1) * factorial(k - i))
-            prefix = (GX,) * (k - i)
-            for e, c in taus[i - 1].terms.items():
-                pairs.append((su_bracket_expr(prefix, GX, e), scale * c))
-        taus.append(PrimCombo(pairs))
-    return tuple(taus)
+    taus = [[(GY, Q(1))]]
+    for d in range(2, n + 2):
+        _tangent_step([(GX, Q(1))], taus, d)
+    return tuple(PrimCombo(t) for t in taus)
 
 
 def tau_exp_l(n: int) -> Series:
@@ -182,62 +240,12 @@ def bch_first_order_combo(n: int) -> PrimCombo:
     return PrimCombo.single(GX) + tau_inverse_combo(n)
 
 
-def _by_degree(combo: PrimCombo) -> list:
-    """The (expr, coeff) terms of ``combo`` in ascending degree."""
-    return sorted(combo.terms.items(), key=lambda kv: kv[0].degree)
-
-
-def _cross_bracket(slots, cap: int) -> PrimCombo:
-    """Multilinear expansion of the bracket <s_1, ..., s_m; y, z> over
-    combination-valued slots, keeping the terms of total degree <= cap.
-
-    ``slots`` lists each slot's terms as :func:`_by_degree` gives them, the
-    tail slots y and z last.  A backtracking walk: a slot's loop stops at the
-    first term that leaves too little room for the least degrees the later
-    slots still need.  A term that antisymmetry alone makes zero
-    (:func:`suops._canon` gives None) is not kept.
-    """
-    if not all(slots):
-        return PrimCombo()
-    last = len(slots) - 1
-    need = [0] * (last + 2)  # need[i]: least degree of slots i..last
-    for i in range(last, -1, -1):
-        need[i] = need[i + 1] + slots[i][0][0].degree
-    out: dict[PrimExpr, Q] = {}
-
-    def walk(i: int, budget: int, coeff: Q, chosen: tuple) -> None:
-        room = budget - need[i + 1]
-        for e, c in slots[i]:
-            d = e.degree
-            if d > room:
-                break
-            if i < last:
-                walk(i + 1, budget - d, coeff * c, chosen + (e,))
-            else:
-                key = su_bracket_expr(chosen[:-1], chosen[-1], e)
-                if _canon(key) is not None:
-                    prev = out.get(key)
-                    out[key] = coeff * c if prev is None else prev + coeff * c
-
-    walk(0, cap, Q(1), ())
-    return PrimCombo(out)
-
-
-def _pj_combo(j: Composition, slots: list, z_terms: list, cap: int) -> PrimCombo:
-    """P_J over combination-valued slots; ``slots`` lists the weight(J)
-    bracket slots in order and ``z_terms`` fills the innermost position, all
-    as :func:`_by_degree` term lists.  An inner level keeps only the terms
-    that leave room for the least degrees of the outer slots."""
-    inner = z_terms
-    idx = len(slots)
-    for part in reversed(j):
-        idx -= part
-        outer = sum(s[0][0].degree for s in slots[:idx])
-        combo = _cross_bracket(slots[idx : idx + part] + [inner], cap - outer)
-        if not idx or combo.is_zero():
-            break
-        inner = _by_degree(combo)
-    return combo
+@cache
+def _ydeg(e: PrimExpr) -> int:
+    """The number of y leaves of e."""
+    if isinstance(e, Gen):
+        return int(e.name == "y")
+    return sum(_ydeg(a) for arg in e.args for a in (arg if type(arg) is tuple else (arg,)))
 
 
 @cache
@@ -245,117 +253,30 @@ def bch_ode(n: int) -> PrimCombo:
     """log_l(exp_l(x) exp_l(y)) in the primitive basis via the Magnus-type ODE.
 
     Omega(t) = log_l(exp_l(x) exp_l(ty)) satisfies Omega(0) = x and
-    Omega' = D(t) + sum_J n_J P_J(Omega(t); D(t)) with the driver
+    Omega' = T, where tau_Omega(T) = D for the driver
     D(t) = y - Phi(exp_l(x); exp_l(ty); y); the group-like Phi argument
-    expands as sum_{m,k>=1} t^k/(m! k!) Phi(x,..,x; y,..,y, y).  The t-power
-    k tracks y-degree, so integrating to t = 1 term by term yields the
-    full series; evaluation agrees exactly with :func:`bch_monomial`.
+    expands as sum_{m,k>=1} t^k/(m! k!) Phi(x,..,x; y,..,y, y).  A term of T
+    of y-degree k carries t^(k-1), so integrating to t = 1 divides it by k.
+
+    T is the fixed point of T = D - sum_{j>=1} tau_j(Omega; T), triangular in
+    total degree: at each degree the tangent step gives every tau_j's part
+    from the parts below, then T's part follows, then Omega's.  Evaluation
+    agrees exactly with :func:`bch_monomial`.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    driver: dict[int, PrimCombo] = {0: PrimCombo.single(GY)}
-    for k in range(1, n - 1):
-        acc = PrimCombo(
-            (phi_expr((GX,) * m, (GY,) * (k + 1)), -Q(1, factorial(m) * factorial(k)))
-            for m in range(1, n - k)
-        )
-        if not acc.is_zero():
-            driver[k] = acc
-
-    omega: list[PrimCombo] = [PrimCombo.single(GX)]
-    omega_terms = [_by_degree(omega[0])]
-    driver_terms = {k: _by_degree(d) for k, d in driver.items()}
-    for k in range(n):
-        rhs = driver[k].terms.copy() if k in driver else {}
-        for weight in range(1, n):
-            for j in compositions(weight):
-                nj = n_coeff(j)
-                if not nj:
-                    continue
-                for d_ord, d_terms in driver_terms.items():
-                    rem = k - d_ord
-                    if rem < 0:
-                        continue
-                    for orders in _distributions(rem, weight):
-                        slots = [omega_terms[o] for o in orders]
-                        for e, c in _pj_combo(j, slots, d_terms, n).terms.items():
-                            prev = rhs.get(e)
-                            rhs[e] = nj * c if prev is None else prev + nj * c
-        scale = Q(1, k + 1)
-        omega.append(PrimCombo({e: scale * c for e, c in rhs.items() if e.degree <= n}))
-        omega_terms.append(_by_degree(omega[-1]))
-
-    return PrimCombo([kv for part in omega for kv in part.terms.items()]).up_to(n)
-
-
-# ---------------------------------------------------------------------------
-# The formal Magnus integrator.
-
-
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
-    """Polynomial in a central parameter t with Series coefficients."""
-
-    coeffs: tuple[Series, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a TimeSeries needs at least the t^0 coefficient")
-        if len({c.truncation for c in self.coeffs}) != 1:
-            raise ValueError("all coefficients must share one truncation")
-
-    @property
-    def truncation(self) -> int:
-        return self.coeffs[0].truncation
-
-    def coeff(self, k: int) -> Series:
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return Series.zero(self.truncation)
-
-    def __eq__(self, other):
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        top = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(k) == other.coeff(k) for k in range(top))
-
-
-def magnus_solve(a: TimeSeries, n_t: int, n_deg: int) -> TimeSeries:
-    """Integrate Omega' = A(t) + sum_J n_J P_J(Omega(t); A(t)), Omega(0) = 0.
-
-    Works order by order in t: the t^k coefficient of the right side only
-    involves Omega coefficients of order <= k, and formal integration
-    divides by k + 1.  Returns Omega up to t^{n_t}, series truncated at n_deg.
-    """
-    coeffs = tuple(c.truncate(n_deg) for c in a.coeffs)
-    omega: list[Series] = [Series.zero(n_deg)]
-    for k in range(n_t):
-        rhs = coeffs[k] if k < len(coeffs) else Series.zero(n_deg)
-        # every Omega slot consumes t-order >= 1, so weight <= k
-        for weight in range(1, k + 1):
-            for j in compositions(weight):
-                nj = n_coeff(j)
-                if not nj:
-                    continue
-                for a_ord in range(0, k - weight + 1):
-                    a_part = coeffs[a_ord] if a_ord < len(coeffs) else None
-                    if a_part is None or a_part.is_zero():
-                        continue
-                    # Omega slots take order >= 1 since Omega(0) = 0: slot i
-                    # takes o_i + 1 for a distribution o of what is left over
-                    for orders in _distributions(k - a_ord - weight, weight):
-                        slots = [omega[o + 1] for o in orders]
-                        if any(s.is_zero() for s in slots):
-                            continue
-                        inner = a_part
-                        idx = weight
-                        for part in reversed(j):
-                            level = slots[idx - part : idx]
-                            idx -= part
-                            inner = su_bracket(level[:-1], level[-1], inner)
-                            if inner.is_zero():
-                                break
-                        if not inner.is_zero():
-                            rhs = rhs + nj * inner
-        omega.append(rhs / (k + 1))
-    return TimeSeries(tuple(omega))
+    drive = [(GY, Q(1))] + [
+        (phi_expr((GX,) * m, (GY,) * (k + 1)), -Q(1, factorial(m) * factorial(k)))
+        for k in range(1, n - 1)
+        for m in range(1, n - k)
+    ]
+    omega = [(GX, Q(1))]
+    taus: list[list] = [[]]  # taus[0] is T
+    for d in range(1, n + 1):
+        t = {e: c for e, c in drive if e.degree == d}
+        # nothing reads the parts of degree n, so they are not kept
+        _accumulate(t, _tangent_step(omega, taus, d, keep=d < n).items(), Q(-1))
+        part = [(e, c) for e, c in t.items() if c]
+        taus[0] += part
+        omega += [(e, c / _ydeg(e)) for e, c in part]
+    return PrimCombo(omega)

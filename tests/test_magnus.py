@@ -1,20 +1,20 @@
 import hashlib
 from fractions import Fraction as F
+from functools import cache
 from math import factorial
 
 import pytest
 
 from nabch import magnus, suops
-from nabch.magma import leaf, parse, relabel
+from nabch.dsw import gamma, y_partial_x
+from nabch.magma import leaf, parse
 from nabch.magnus import (
-    TimeSeries,
     bch_first_order,
     bch_first_order_combo,
     bch_monomial,
     bch_ode,
     compositions,
     m_coeff,
-    magnus_solve,
     n_coeff,
     p_nested,
     p_nested_expr,
@@ -24,9 +24,9 @@ from nabch.magnus import (
     tau_inverse,
     tau_inverse_combo,
 )
-from nabch.series import Series, bernoulli, dynkin_bch, project_associative
+from nabch.series import Series, bernoulli, dynkin_bch, exp_l, project_associative
 from nabch.hopf import is_primitive
-from nabch.suops import Commutator, Gen, PrimCombo, phi_expr, su_bracket_expr
+from nabch.suops import Commutator, Gen, PrimCombo, expr_to_text, phi_expr, su_bracket_expr
 
 GX, GY = Gen("x"), Gen("y")
 B = su_bracket_expr
@@ -155,9 +155,6 @@ def test_tau_components_match_m_weighted_brackets():
 
 
 def test_tau_equals_gamma_of_exp():
-    from nabch.dsw import gamma, y_partial_x
-    from nabch.series import exp_l
-
     for n in range(1, 7):
         assert tau_exp_l(n) == gamma(y_partial_x(n + 1), exp_l("x", n + 1))
 
@@ -258,8 +255,6 @@ def test_bch_monomial_is_primitive(n):
 
 def test_bch_exponentiates_back():
     # exp_l(BCH) == exp_l(x) exp_l(y)
-    from nabch.series import exp_l
-
     n = 5
     assert exp_l(bch_monomial(n), n) == exp_l("x", n) * exp_l("y", n)
 
@@ -317,6 +312,49 @@ def test_bch_ode_degree_7_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def test_bch_ode_degree_8_is_pinned():
+    # degree 8 is the CLI's cap for the primitive basis
+    text = bch_ode(8).to_text()
+    want = "f8b730ebbe83edc8b535a799348c788e0ca2d5ad125f2615ff5734ae402831b3"
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@cache
+def _bch_by_composition_sum(n):
+    """Route 2 by the paper's formula Omega' = D + sum_J n_J P_J(Omega; D),
+    degree by degree: the oracle for bch_ode's tangent-map recurrence.
+
+    P_J is built by the composition law P_J = <Omega^(j_1 - 1); Omega, P_J'>
+    for J = (j_1) || J', with P_() = D, and its degree-d part reads only parts
+    below degree d.  A term of y-degree k integrates to 1/k of itself.
+    """
+    drive = [(GY, F(1))] + [
+        (phi_expr([GX] * m, [GY] * (k + 1)), -F(1, factorial(m) * factorial(k)))
+        for k in range(1, n - 1)
+        for m in range(1, n - k)
+    ]
+    omega = [(GX, F(1))]
+    nested = {(): []}  # P_J's terms by composition J, in ascending degree
+    for d in range(1, n + 1):
+        drive_d = [(e, c) for e, c in drive if e.degree == d]
+        deriv = dict(drive_d)
+        for weight in range(1, d):
+            for j in compositions(weight):
+                part = {}
+                magnus._cross_bracket([omega] * j[0] + [nested[j[1:]]], d, part, F(1))
+                nested.setdefault(j, []).extend(part.items())
+                for e, c in part.items():
+                    deriv[e] = deriv.get(e, 0) + n_coeff(j) * c
+        nested[()] += drive_d
+        omega += [(e, c / expr_to_text(e).count("y")) for e, c in deriv.items() if c]
+    return PrimCombo(omega)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bch_ode_equals_the_composition_sum(n):
+    assert bch_ode(n) == _bch_by_composition_sum(7).up_to(n)
+
+
 def test_the_walk_drops_exactly_the_keys_that_evaluate_to_zero(monkeypatch):
     keys = set()
 
@@ -330,7 +368,7 @@ def test_the_walk_drops_exactly_the_keys_that_evaluate_to_zero(monkeypatch):
     dropped = {e for e in keys if suops._canon(e) is None}
     # exact evaluation is the oracle: the rule is sound and, here, complete
     assert dropped == {e for e in keys if suops.eval_prim(e, e.degree).is_zero()}
-    assert (len(keys), len(dropped)) == (1260, 119)
+    assert (len(keys), len(dropped)) == (1352, 122)
 
 
 def test_bch_ode_evaluates_nothing():
@@ -339,42 +377,3 @@ def test_bch_ode_evaluates_nothing():
     info = suops._eval.cache_info()
     assert info.hits == info.misses == 0
 
-
-# -- the Magnus integrator
-
-
-def test_magnus_constant_driver():
-    # A(t) = y: all brackets vanish on equal arguments, Omega = t y
-    a = TimeSeries((Series.generator("y", 4),))
-    om = magnus_solve(a, 4, 4)
-    assert om.coeff(0).is_zero()
-    assert om.coeff(1) == Series.generator("y", 4)
-    assert om.coeff(2).is_zero() and om.coeff(3).is_zero()
-
-
-def test_magnus_initial_slope_is_driver():
-    # Omega(0) = 0 kills every P_J term at order zero
-    a = TimeSeries((Series.generator("x", 3) + Series.generator("y", 3),))
-    om = magnus_solve(a, 1, 3)
-    assert om.coeff(1) == a.coeff(0)
-
-
-def test_magnus_recovers_linear_flow():
-    # A(t) := tangent map of exp_l along tx, applied to x; then Omega(t) = t x.
-    # A_k is tau_k with the marked slot set to x as well.
-    taus = tau_components(3)
-    coeffs = tuple(
-        t.evaluate(4).map_monomials(lambda m: relabel(m, {"y": "x"})) for t in taus
-    )
-    a = TimeSeries(coeffs)
-    om = magnus_solve(a, 4, 4)
-    assert om.coeff(1) == Series.generator("x", 4)
-    for k in (0, 2, 3, 4):
-        assert om.coeff(k).is_zero()
-
-
-def test_timeseries_validation():
-    with pytest.raises(ValueError):
-        TimeSeries(())
-    with pytest.raises(ValueError):
-        TimeSeries((Series.zero(2), Series.zero(3)))

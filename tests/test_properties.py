@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nabch.hopf import coproduct, coproduct_monomial, is_primitive
 from nabch.magma import compare, format_monomial, leaf, node, parse
-from nabch.magnus import _by_degree, _cross_bracket
+from nabch.magnus import _cross_bracket
 from nabch.series import Series, project_associative, substitute
 from nabch.suops import (
     GX,
@@ -128,11 +128,11 @@ def combos(min_size=0):
     )
 
 
-def _cross_bracket_by_product(slot_combos, cap):
-    """The whole product of slot terms, then the degree cap: the oracle."""
+def _cross_bracket_by_product(slot_combos, d):
+    """The whole product of slot terms, then the degree-d component: the oracle."""
     out = {}
     for choice in product(*(c.terms.items() for c in slot_combos)):
-        if sum(e.degree for e, _ in choice) > cap:
+        if sum(e.degree for e, _ in choice) != d:
             continue
         coeff = F(1)
         for _, c in choice:
@@ -144,14 +144,17 @@ def _cross_bracket_by_product(slot_combos, cap):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(combos(), max_size=2), combos(), combos(), st.integers(1, 7))
-def test_cross_bracket_equals_product_expansion(prefix, y, z, cap):
+@given(st.lists(combos(), max_size=2), combos(), combos(), st.integers(1, 7), rationals())
+def test_cross_bracket_equals_product_expansion(prefix, y, z, d, scale):
     slot_combos = [*prefix, y, z]
-    got = _cross_bracket([_by_degree(c) for c in slot_combos], cap)
-    want = _cross_bracket_by_product(slot_combos, cap)
+    got = {}
+    _cross_bracket(
+        [sorted(c.terms.items(), key=lambda kv: kv[0].degree) for c in slot_combos], d, got, scale
+    )
+    want = _cross_bracket_by_product(slot_combos, d)
     # the walk drops the terms that antisymmetry alone makes zero
     skipped = PrimCombo({e: c for e, c in want.terms.items() if _canon(e) is None})
-    assert got == want - skipped
+    assert PrimCombo(got) == scale * (want - skipped)
     for e in skipped.terms:
         assert eval_prim(e, e.degree).is_zero()
 
