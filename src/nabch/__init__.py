@@ -30,7 +30,6 @@ from .series import (
     TruncationMismatchWarning,
     b_tau,
     bernoulli,
-    bernoulli_table,
     dynkin_bch,
     exp_l,
     exp_r,

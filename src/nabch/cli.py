@@ -36,11 +36,11 @@ DEFAULT_CAP = 8
 # On one core of a shared 2-core machine (Python 3.11), expand --basis
 # primitive took about 0.5 s at degree 7, 3 s at 74 MB peak at 8 and 23 s at
 # 360 MB peak at 9 (21 s at 417 MB as JSON).  --basis both also evaluates
-# every term, which dominates: about 1 s at degree 6, 14 s at 79 MB at 7.
+# every term, which dominates: about 0.6 s at degree 6, 4.5 s at 58 MB at 7.
 PRIMITIVE_CAP = 8
 PRIMITIVE_NOTE = " of the primitive route, which took about 23 s and 360 MB at degree 9"
 BOTH_CAP = 6
-BOTH_NOTE = " of expand --basis both, which took about 14 s at degree 7"
+BOTH_NOTE = " of expand --basis both, which took about 4.5 s at degree 7"
 # The cut route's left-spine recurrence takes about 3 ms for the slowest
 # degree-32 coefficient on the same machine; the cap keeps it bounded.
 CUTS_CAP = 32
@@ -50,6 +50,12 @@ CUTS_NOTE = " of the cut route"
 # about 4x.
 BERNOULLI_CAP = 16
 BERNOULLI_NOTE = " of the 2^k Bernoulli methods"
+# The recurrence for B_k makes O(k^2) operations on rationals of O(k log k)
+# digits: k = 600 took about 2 s on the same machine and k = 1,000 about 9 s.
+# Near k = 1,560 the value passes Python's 4,300-digit limit on int-to-str
+# conversion.  A fixed bound, like MAX_NESTING, which no degree cap raises.
+MAX_RECURRENCE_K = 600
+RECURRENCE_NOTE = " of the recurrence, which took about 2 s at k = 600 and 9 s at k = 1,000"
 # n_J sums O(s^2) products over the slices of a composition J of weight s:
 # the all-ones J took about 0.5 s at s = 256 and 2 s at s = 400 on the same
 # machine.  The cap is on the weight, which bounds the length and each part.
@@ -226,6 +232,8 @@ def cmd_bernoulli(args) -> int:
     method = args.method
     if method != "recurrence":
         _check_degree(max(k, 1), args.max_degree, BERNOULLI_CAP, BERNOULLI_NOTE)
+    elif k > MAX_RECURRENCE_K:
+        raise UsageError(f"k = {k} exceeds the bound {MAX_RECURRENCE_K}{RECURRENCE_NOTE}")
     try:
         if method == "recurrence":
             value = bernoulli(k) / factorial(k)

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from . import hopf
 from .magma import Monomial, is_left_normed_word, leaf, node, word_letters
-from .series import Q, Series, _accumulate, _normalise
+from .series import Series, _accumulate, _normalise
 from .suops import Gen, PrimCombo, su_bracket_expr, su_bracket_series
 
 
@@ -48,9 +48,9 @@ def y_partial_x(truncation: int) -> SubstitutionDerivation:
     return SubstitutionDerivation("x", Series.generator("y", truncation))
 
 
-def _apply_monomial(d: Derivation, m: Monomial) -> dict[Monomial, Q]:
+def _apply_monomial(d: Derivation, m: Monomial) -> dict:
     if isinstance(d, DegreeDerivation):
-        return {m: Q(m.degree)}
+        return {m: m.degree}
     return _sub_apply(d, m)
 
 
@@ -66,7 +66,7 @@ def _sub_apply(d: SubstitutionDerivation, m: Monomial) -> MappingProxyType:
 
 def apply(d: Derivation, s: Series) -> Series:
     """Leibniz extension of d to a series; constants map to zero."""
-    out: dict[Monomial, Q] = {}
+    out: dict = {}
     for m, c in s.terms.items():
         _accumulate(out, _apply_monomial(d, m).items(), c)
     return Series(s.truncation, out)
@@ -75,7 +75,7 @@ def apply(d: Derivation, s: Series) -> Series:
 @cache
 def _gamma_monomial(d: Derivation, u: Monomial) -> MappingProxyType:
     """gamma_d(u) = sum u_(1) \\ d(u_(2)) as an exact coefficient map."""
-    out: dict[Monomial, Q] = {}
+    out: dict = {}
     for (a, b), mult in hopf.coproduct_monomial(u).items():
         if b is None:
             continue  # d(1) = 0
@@ -86,7 +86,7 @@ def _gamma_monomial(d: Derivation, u: Monomial) -> MappingProxyType:
 
 def gamma(d: Derivation, s: Series) -> Series:
     """Linear extension of gamma_d; gamma_d(1) = 0."""
-    out: dict[Monomial, Q] = {}
+    out: dict = {}
     for m, c in s.terms.items():
         _accumulate(out, _gamma_monomial(d, m).items(), c)
     return Series(s.truncation, out)
@@ -135,13 +135,12 @@ def _bracketize(letters: tuple[str, ...]) -> PrimCombo:
     return PrimCombo(pairs)
 
 
-def bracketize_word(w: Monomial, d: Derivation = DEGREE) -> PrimCombo:
-    """Symbolic gamma_d(w) for a left-normed generator word w, degree derivation only.
+def bracketize_word(w: Monomial) -> PrimCombo:
+    """Symbolic gamma_d(w) for the degree derivation d and a left-normed
+    generator word w.
 
     eval_prim of the result equals gamma(DEGREE, w) exactly.
     """
-    if not isinstance(d, DegreeDerivation):
-        raise ValueError("symbolic bracketization is defined for the degree derivation")
     if not is_left_normed_word(w):
         raise ValueError(f"{w!r} is not a left-normed word of generators")
     return _bracketize(word_letters(w))

@@ -13,12 +13,11 @@ non-associative setting.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
 from .magma import Monomial, mirror, monomial_from_json, monomial_to_json, node
-from .series import Q, Combination, Series, _accumulate, _join_truncation, _product
+from .series import Combination, Series, _accumulate, _join_truncation, _product
 
 # Tensor-square keys are (left, right) with None standing for the unit slot.
 TensorKey = tuple
@@ -88,13 +87,13 @@ def coproduct_monomial(m: Monomial) -> MappingProxyType:
 
 def coproduct(s: Series) -> TensorSeries:
     """Delta(s), truncated on total pair degree."""
-    out: dict[TensorKey, Q] = {(None, None): s.constant}
+    out: dict = {(None, None): s.constant}
     for m, c in s.terms.items():
         _accumulate(out, coproduct_monomial(m).items(), c)
     return TensorSeries(s.truncation, out)
 
 
-def counit(s: Series) -> Q:
+def counit(s: Series):
     return s.constant
 
 
@@ -171,8 +170,5 @@ def tensor_from_json(data: dict) -> TensorSeries:
 
     return TensorSeries(
         int(data["truncation"]),
-        {
-            (dec(t["monomial"][0]), dec(t["monomial"][1])): Fraction(t["coeff"])
-            for t in data["terms"]
-        },
+        {(dec(t["monomial"][0]), dec(t["monomial"][1])): t["coeff"] for t in data["terms"]},
     )

@@ -158,12 +158,6 @@ def is_left_normed_word(m: Monomial) -> bool:
     return True
 
 
-def relabel(m: Monomial, mapping: dict[str, str]) -> Monomial:
-    if m.is_leaf:
-        return leaf(mapping.get(m.var, m.var))
-    return node(relabel(m.left, mapping), relabel(m.right, mapping))
-
-
 def parse(text: str) -> Monomial:
     """Parse ``monomial ::= "x" | "y" | "(" monomial monomial ")"``.
 

@@ -1,8 +1,9 @@
 """Truncated formal power series over exact rationals in the free magma algebra.
 
 A :class:`Series` models k{{x,y}} modulo terms of degree > N: a sparse map
-monomial -> Fraction plus an explicit constant term.  :class:`AssocSeries` is
-the associative counterpart on flat words, used for the Dynkin cross-check.
+monomial -> exact rational (an int or a Fraction) plus an explicit constant
+term.  :class:`AssocSeries` is the associative counterpart on flat words,
+used for the Dynkin cross-check.
 
 Convention fixed here and relied on by every downstream coefficient:
 Bernoulli numbers use B_1 = -1/2 (the "first" convention, from the defining
@@ -58,6 +59,13 @@ def _join_truncation(a, b):
 # functions below; each class declares only its keys' degree, product, order
 # and rendering.
 
+_EXACT = (int, Fraction)
+
+
+def _exact(c):
+    """The coefficient rule of :class:`Combination` applied to c."""
+    return c if type(c) in _EXACT else Q(c)
+
 
 def _normalise(terms, cap=None, degree=None) -> MappingProxyType:
     """The normalised terms of an iterable of (key, coefficient) pairs or a
@@ -74,7 +82,7 @@ def _normalise(terms, cap=None, degree=None) -> MappingProxyType:
         for k, c in (terms.items() if isinstance(terms, (dict, MappingProxyType)) else terms):
             if cap is not None and (k.degree if degree is None else degree(k)) > cap:
                 continue
-            if type(c) is not Fraction:
+            if type(c) not in _EXACT:
                 c = Q(c)
             if c:
                 prev = clean.get(k)
@@ -123,8 +131,16 @@ def _product(p, q, cap: int, join, degree=None) -> dict:
 
 class Combination:
     """A finite rational combination over a graded basis: a read-only map
-    ``terms`` from basis key to nonzero Fraction, a truncation degree (None
-    where the class has none) and a constant term (0 where it has none).
+    ``terms`` from basis key to nonzero coefficient, a truncation degree
+    (None where the class has none) and a constant term (0 where it has none).
+
+    A coefficient is an ``int`` or a ``Fraction``, never a float.  The rule
+    is applied where coefficients enter, by :func:`_normalise` (terms) and
+    :func:`_exact` (the constant and scalar factors): an int or a Fraction is
+    stored and multiplied as given, anything else goes through ``Fraction()``
+    (a float converts exactly, a combination of another class raises
+    TypeError).  Integral results therefore stay ints; a ``/`` that can meet
+    a coefficient must have a Fraction operand, since ``int / int`` is a float.
 
     A subclass declares, all read from the class:
 
@@ -156,7 +172,7 @@ class Combination:
             raise TypeError(f"{type(self).__name__} needs a truncation degree")
         self.terms = _normalise(terms, truncation, type(self)._degree)
         self.truncation = truncation
-        self.constant = constant if type(constant) is Fraction else Q(constant)
+        self.constant = _exact(constant)
 
     def _new(self, truncation, terms, constant):
         """A combination of self's class with the given fields."""
@@ -164,7 +180,7 @@ class Combination:
             return type(self)(truncation, terms, constant)
         return type(self)(terms)
 
-    def coefficient(self, key) -> Q:
+    def coefficient(self, key):
         """Stored coefficient or 0; queries above the truncation are unreliable
         and therefore rejected."""
         if self.truncation is not None:
@@ -173,7 +189,7 @@ class Combination:
                 raise ValueError(
                     f"degree {d} exceeds truncation {self.truncation}; coefficient unknown"
                 )
-        return self.terms.get(key, Q(0))
+        return self.terms.get(key, 0)
 
     def items(self):
         """(key, coefficient) pairs in canonical order."""
@@ -222,7 +238,7 @@ class Combination:
         return self._new(n, out, self.constant * other.constant)
 
     def _scale(self, c):
-        c = Q(c)
+        c = _exact(c)
         terms = {k: c * v for k, v in self.terms.items()}
         return self._new(self.truncation, terms, c * self.constant)
 
@@ -258,11 +274,11 @@ class Series(Combination):
 
     @classmethod
     def generator(cls, var: str, truncation: int) -> "Series":
-        return cls(truncation, {leaf(var): Q(1)})
+        return cls(truncation, {leaf(var): 1})
 
     @classmethod
     def monomial(cls, m: Monomial, truncation: int, coeff=1) -> "Series":
-        return cls(truncation, {m: Q(coeff)})
+        return cls(truncation, {m: coeff})
 
     def min_degree(self):
         """Smallest degree present, 0 for the constant; None if zero."""
@@ -285,7 +301,7 @@ class Series(Combination):
         return Series(self.truncation, ((f(m), c) for m, c in self.terms.items()), self.constant)
 
     def __truediv__(self, other):
-        return self._scale(Q(1, 1) / Q(other))
+        return self._scale(1 / Q(other))
 
     # bound in the class body too: bench/spans.py wraps what it finds in Series.__dict__
     __eq__ = Combination.__eq__
@@ -324,12 +340,6 @@ def bernoulli(n: int) -> Q:
             acc += comb(k + 1, i) * b
         _BERNOULLI.append(-acc / (k + 1))
     return _BERNOULLI[n]
-
-
-def bernoulli_table(n: int) -> list[Q]:
-    """B_0 .. B_n."""
-    bernoulli(n)
-    return _BERNOULLI[: n + 1]
 
 
 def _one_variable(m: Monomial) -> None:
@@ -397,15 +407,13 @@ def substitute(f: Series, u: Series) -> Series:
         raise ValueError("substitution source must be a one-variable series")
     n = _join_truncation(f.truncation, u.truncation)
     memo: dict = {}
-    out: dict[Monomial, Q] = {}
+    out: dict = {}
     for m, c in f.terms.items():
-        for t, v in _subst(m, n, u, memo).items():
-            prev = out.get(t)
-            out[t] = c * v if prev is None else prev + c * v
+        _accumulate(out, _subst(m, n, u, memo).items(), c)
     return Series(n, out, f.constant)
 
 
-def _subst(m: Monomial, budget: int, u: Series, memo: dict) -> dict[Monomial, Q]:
+def _subst(m: Monomial, budget: int, u: Series, memo: dict) -> dict:
     # every leaf contributes at least degree 1, so a subtree's budget is the
     # total minus its siblings' leaf counts
     if budget < m.degree:
@@ -480,10 +488,6 @@ class AssocSeries(Combination):
     @staticmethod
     def _order(w):
         return (len(w), w)
-
-    @classmethod
-    def zero(cls, truncation: int) -> "AssocSeries":
-        return cls(truncation)
 
 
 @cache
@@ -591,6 +595,6 @@ def series_to_json(s: Series) -> dict:
 def series_from_json(data: dict) -> Series:
     return Series(
         int(data["truncation"]),
-        {monomial_from_json(t["monomial"]): Q(t["coeff"]) for t in data["terms"]},
-        Q(data.get("constant", 0)),
+        {monomial_from_json(t["monomial"]): t["coeff"] for t in data["terms"]},
+        data.get("constant", 0),
     )

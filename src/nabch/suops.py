@@ -18,14 +18,13 @@ an exact evaluator, plus a round-trip text syntax:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import permutations
 from math import factorial
 
 from . import hopf
 from .magma import ParseError, node
-from .series import Q, Combination, Series, _accumulate, _product, left_normed_product
+from .series import Combination, Series, _accumulate, _product, left_normed_product
 
 
 def associator(a: Series, b: Series, c: Series) -> Series:
@@ -367,7 +366,7 @@ class PrimCombo(Combination):
 
     @classmethod
     def single(cls, e: PrimExpr, coeff=1) -> "PrimCombo":
-        return cls({e: Q(coeff)})
+        return cls({e: coeff})
 
     def component(self, d: int) -> "PrimCombo":
         return PrimCombo({e: c for e, c in self.terms.items() if e.degree == d})
@@ -381,11 +380,8 @@ class PrimCombo(Combination):
     def evaluate(self, n: int) -> Series:
         acc: dict = {}
         for e, c in self.terms.items():
-            if e.degree > n:
-                continue
-            for m, v in eval_prim(e, e.degree).terms.items():
-                prev = acc.get(m)
-                acc[m] = c * v if prev is None else prev + c * v
+            if e.degree <= n:
+                _accumulate(acc, eval_prim(e, e.degree).terms.items(), c)
         return Series(n, acc)
 
     def to_json(self) -> list:
@@ -393,7 +389,7 @@ class PrimCombo(Combination):
 
     @classmethod
     def from_json(cls, data) -> "PrimCombo":
-        return cls({parse_prim_expr(t["expr"]): Fraction(t["coeff"]) for t in data})
+        return cls({parse_prim_expr(t["expr"]): t["coeff"] for t in data})
 
     # bound in the class body too: bench/spans.py wraps what it finds in PrimCombo.__dict__
     __eq__ = Combination.__eq__

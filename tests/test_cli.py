@@ -271,6 +271,26 @@ def test_bernoulli_recurrence_is_uncapped(capsys, monkeypatch):
     assert code == 0 and out.strip() == str(bernoulli(40) / factorial(40))
 
 
+def test_bernoulli_recurrence_bound(capsys, monkeypatch):
+    from fractions import Fraction
+    from math import factorial
+
+    from nabch import cli
+
+    # B_k itself is stubbed: at the bound the recurrence takes seconds
+    monkeypatch.setattr(cli, "bernoulli", lambda k: Fraction(1))
+    over = str(cli.MAX_RECURRENCE_K + 1)
+    for caps in ((), ("--max-degree", "5000")):
+        code, out, err = run(capsys, "bernoulli", "--k", over, *caps)
+        assert code == 2 and out == ""
+        assert f"k = {over} exceeds the bound {cli.MAX_RECURRENCE_K}" in err and "2 s" in err
+    monkeypatch.setenv("BCH_MAX_DEGREE", "5000")
+    code, _, _ = run(capsys, "bernoulli", "--k", over)
+    assert code == 2
+    code, out, _ = run(capsys, "bernoulli", "--k", str(cli.MAX_RECURRENCE_K))
+    assert code == 0 and out.strip() == str(Fraction(1, factorial(cli.MAX_RECURRENCE_K)))
+
+
 def test_nj_cap(capsys, monkeypatch):
     from fractions import Fraction
 

@@ -1,16 +1,19 @@
 """The laws every sparse rational combination obeys, checked once for each of
-the four classes, and the rule that combinations of different classes do not
-mix."""
+the four classes, the rule that combinations of different classes do not
+mix, and the coefficient rule: ints and Fractions are kept as given, anything
+else becomes a Fraction."""
 
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from nabch.cuts import coefficient_via_cuts
 from nabch.hopf import TensorSeries, coproduct
-from nabch.magma import leaf, parse
-from nabch.series import AssocSeries, Series, project_associative
-from nabch.suops import GX, GY, Commutator, PrimCombo, su_bracket_expr
+from nabch.magma import enumerate_monomials, leaf, parse
+from nabch.magnus import bch_monomial, bch_ode, tau_components
+from nabch.series import AssocSeries, Series, dynkin_bch, log_l_series, project_associative
+from nabch.suops import GX, GY, Commutator, PrimCombo, SUBracket, eval_prim, su_bracket_expr
 
 X = leaf("x")
 XY = parse("(xy)")
@@ -76,3 +79,34 @@ def test_different_classes_do_not_mix(left, right):
         with pytest.raises(TypeError):
             op()
 
+
+
+def _coefficients(*combos):
+    return [c for s in combos for c in (s.constant, *s.terms.values())]
+
+
+def test_integral_results_stay_ints():
+    x, y = Series.generator("x", 5), Series.generator("y", 5)
+    exprs = (
+        Commutator(GX, GY),
+        SUBracket((GX,), GX, GY),
+        SUBracket((GX, GY), GY, Commutator(GX, GY)),
+    )
+    combos = [x, coproduct(x * (y * x) - 3 * (x * y)), *(eval_prim(e, 5) for e in exprs)]
+    assert {type(c) for c in _coefficients(*combos)} == {int}
+
+
+def test_no_float_reaches_an_output():
+    n = 5
+    combos = [bch_monomial(n), bch_ode(n), bch_ode(n).evaluate(n), *tau_components(n)]
+    coeffs = _coefficients(*combos, log_l_series(n), dynkin_bch(n)) + [
+        coefficient_via_cuts(m) for d in range(1, n + 1) for m in enumerate_monomials(d)
+    ]
+    assert {type(c) for c in coeffs} <= {int, F}
+
+
+def test_other_numbers_become_fractions():
+    x = Series.generator("x", 2)
+    for s in (Series(2, {X: 0.5}), x * 0.5, 0.5 * x, Series(2, {X: "1/2"})):
+        assert type(s.terms[X]) is F and s.terms[X] == F(1, 2)
+    assert type(Series(2, constant=0.5).constant) is F

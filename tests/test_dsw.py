@@ -119,8 +119,6 @@ def test_bracketize_three_letters():
 def test_bracketize_rejects_non_left_normed():
     with pytest.raises(ValueError):
         bracketize_word(parse("(x(xy))"))
-    with pytest.raises(ValueError):
-        bracketize_word(parse("(xy)"), y_partial_x(3))
 
 
 @pytest.mark.parametrize("deg", range(1, 6))
