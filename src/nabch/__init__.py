@@ -100,6 +100,7 @@ from .magnus import (
 from .trees import fuchs_level_sum, bernoulli_weights, nj_tree_sum, pi_level, woon_level_sum
 from .cuts import (
     Cut,
+    bch_series,
     c_tau,
     closed_form_xmyn,
     coefficient_via_cuts,

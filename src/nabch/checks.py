@@ -14,6 +14,7 @@ from math import factorial
 
 from . import dsw, hopf, magnus, trees
 from .cuts import (
+    bch_series,
     closed_form_xmyn,
     coefficient_via_cuts,
     enumerate_bch_cuts,
@@ -306,6 +307,12 @@ def check_cuts(degree: int) -> list[CheckResult]:
             if coefficient_via_cuts(m) != b.coefficient(m):
                 ok = False
                 detail = repr(m)
+    whole = bch_series(n)
+    if whole != b:  # the cut recurrence summed over all monomials, against route 1
+        ok = False
+        diff = set(whole.terms.items()) ^ set(b.terms.items())
+        d = min((m.degree for m, _ in diff), default=0)  # 0: the constant term
+        detail = f"bch_series differs at degree {d}"
     out.append(CheckResult("cut formula matches series coefficients", ok, detail))
 
     ok = True

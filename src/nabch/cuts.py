@@ -22,6 +22,17 @@ one branch, and cuts each t_i independently, so the sum factors into
 over k = 0 .. the length of w's left spine.  :func:`enumerate_cuts` and
 :func:`enumerate_bch_cuts` list the cuts themselves, for the checks and as
 the test oracle of the recurrence.
+
+Summed over all monomials w, the same identity gives the whole series.  The
+x^i y^j / (i! j!) are the terms of z = exp_l(x) exp_l(y) - 1, so
+
+    F = sum_k (B_k/k!) R_k,    R_0 = z,    R_k = R_{k-1} F
+
+with R_k = ((z F) F ...) F, k right factors.  :func:`bch_series` builds it
+degree by degree from homogeneous blocks.  R_k starts at degree k + 1, so
+the degree-d block of R_k (k >= 1) is the sum over e = 1 .. d - k of
+R_{k-1}[d - e] F[e], and F[d] = sum_{k < d} (B_k/k!) R_k[d] needs only the
+F[e] with e < d.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from functools import cache
 from math import factorial
 
 from .magma import Monomial, is_left_normed_word, leaf, left_normed_power, node
-from .series import Q, _spine, b_tau, bernoulli, tau_factorial
+from .series import Q, Series, _accumulate, _product, _spine, b_tau, bernoulli, exp_l, tau_factorial
 
 _SLOT = leaf("x")  # skeletons are one-variable shapes
 
@@ -170,6 +181,31 @@ def _spine_sum(w: Monomial, f) -> Q:
             break
         base, k = base.left, k + 1
     return out
+
+
+@cache
+def bch_series(n: int) -> Series:
+    """log_l(exp_l(x) exp_l(y)) truncated at n, as the lifted cut recurrence
+    F = sum_k (B_k/k!) ((z F) F ...) F of the module docstring.  r[k, d] is
+    the degree-d block of R_k and f[d] that of F; the blocks are dropped on
+    return."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    r = {}
+    for m, c in (exp_l("x", n) * exp_l("y", n)).terms.items():
+        r.setdefault((0, m.degree), {})[m] = c
+    f = [{}]
+    for d in range(1, n + 1):
+        fd = dict(r[0, d])
+        for k in range(1, d):
+            block = {}
+            for e in range(1, d - k + 1):
+                _accumulate(block, _product(r[k - 1, d - e], f[e], d, node).items())
+            r[k, d] = block
+            if bernoulli(k):
+                _accumulate(fd, block.items(), bernoulli(k) / factorial(k))
+        f.append({m: c for m, c in fd.items() if c})
+    return Series(n, {m: c for part in f for m, c in part.items()})
 
 
 def closed_form_xmyn(m: int, n: int) -> Q:

@@ -8,7 +8,7 @@ import pytest
 
 import nabch
 from nabch.checks import run_suite
-from nabch.cuts import coefficient_via_cuts
+from nabch.cuts import bch_series, coefficient_via_cuts
 from nabch.magma import enumerate_monomials, parse
 from nabch.magnus import bch_monomial, bch_ode
 from nabch.series import tau_factorial
@@ -31,6 +31,7 @@ def _memos():
 def _results():
     return (
         bch_monomial(5),
+        bch_series(5),
         bch_ode(4),
         [coefficient_via_cuts(w) for d in range(1, 6) for w in enumerate_monomials(d)],
         run_suite("all", 3),

@@ -28,6 +28,10 @@ GOLDEN = [
     ("expand --basis monomial --degree 5 --format text", 0, "d3e9fda67ed4857d80993bc36b5ea73f35ecf8d18a7261ed1a81489197a53b6b"),
     ("expand --basis monomial --degree 5 --format json", 0, "2be57804967b60fb3e385f4e2f6310a7ef8d6f85d5d5a1cfaa7135ee8a6da639"),
     ("expand --basis monomial --degree 5 --format latex", 0, "c9216d645357700c67bf3a5710fe3085d246c1ff99c53aea4ec2ccee8e5f4636"),
+    # the degree-8 pins were captured while route 1 still built expand's series
+    ("expand --basis monomial --degree 8 --format text", 0, "606010d4ba2ef55d7ba3e848faaae47061fe1b1adbf392c1caf81ea553332ced"),
+    ("expand --basis monomial --degree 8 --format json", 0, "5d114c5ecfbb310da8bf2887283a61441582242b3e90544798bb6c78fed235db"),
+    ("expand --basis monomial --degree 8 --format latex", 0, "9cc47d89000ea897afcf047cc13f6d2a2a64719e36d4019cd7889b9686e8965d"),
     ("expand --basis primitive --degree 1 --format text", 0, "2dc97d7b3ec559134d857476d5e8a6651ab77114607dd3518a5d2f58ae22cb24"),
     ("expand --basis primitive --degree 1 --format json", 0, "2f258325a85763d4f31cf685852146aeaa5272fdac07973970e28ba644324c92"),
     ("expand --basis primitive --degree 1 --format latex", 0, "2dc97d7b3ec559134d857476d5e8a6651ab77114607dd3518a5d2f58ae22cb24"),

@@ -4,8 +4,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nabch.checks import check_cuts
 from nabch.cuts import (
     _spine_sum,
+    bch_series,
     c_tau,
     closed_form_xmyn,
     coefficient_via_cuts,
@@ -16,6 +18,7 @@ from nabch.cuts import (
 )
 from nabch.magma import enumerate_monomials, leaf, left_normed_power, node, parse
 from nabch.magnus import bch_monomial
+from nabch.series import Series
 
 X = leaf("x")
 Y = leaf("y")
@@ -233,6 +236,40 @@ def test_closed_form_matches_recurrence_from_degree_8_to_24():
     for m in range(1, 24):
         for n in range(max(1, 8 - m), 25 - m):
             assert closed_form_xmyn(m, n) == coefficient_via_cuts(xmyn_monomial(m, n)), (m, n)
+
+
+# -- the whole series by the lifted recurrence
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bch_series_equals_route_1(n):
+    assert bch_series(n) == bch_monomial(n)
+
+
+def test_bch_series_coefficients_are_the_cut_coefficients():
+    s = bch_series(6)
+    for d in range(1, 7):
+        for m in enumerate_monomials(d):
+            assert s.coefficient(m) == coefficient_via_cuts(m), m
+
+
+def test_bch_series_refuses_degree_0():
+    with pytest.raises(ValueError):
+        bch_series(0)
+
+
+def test_bch_series_terms_are_read_only():
+    with pytest.raises(TypeError):
+        bch_series(3).terms[X] = 5
+
+
+def test_check_cuts_names_the_degree_where_the_series_differ(monkeypatch):
+    wrong = bch_series(4) + Series.monomial(parse("((xy)x)"), 4)
+    monkeypatch.setattr("nabch.checks.bch_series", lambda n: wrong)
+    row = check_cuts(4)[0]
+    assert row.name == "cut formula matches series coefficients"
+    assert not row.passed
+    assert row.detail == "bch_series differs at degree 3"
 
 
 # -- deep monomials
