@@ -38,6 +38,7 @@ from .series import (
     log_l_series,
     project_associative,
     series_from_json,
+    series_json_text,
     series_to_json,
     substitute,
     tau_factorial,

@@ -26,7 +26,7 @@ from .series import (
     format_series,
     log_l,
     log_l_series,
-    series_to_json,
+    series_json_text,
 )
 from .suops import PrimCombo
 
@@ -34,7 +34,8 @@ SCHEMA_VERSION = "1"
 DEFAULT_DEGREE = 5
 # expand --basis monomial builds its series by the cut recurrence
 # (cuts.bch_series): on one core of a shared 2-core machine (Python 3.11) the
-# command took about 1 s at degree 8 and 10 s at 269 MB peak at 9.  The cap
+# command took about 1 s at degree 8 (59 MB peak as text, 78 MB as JSON) and
+# 10 s at 269 MB peak at 9 (8.5 s at 400 MB as JSON).  The cap
 # stays 8, because log --series product and coeff --method series|both still
 # run route 1 (log_l substitution), about 3.5 s at degree 8, at this cap.
 DEFAULT_CAP = 8
@@ -78,27 +79,24 @@ class UsageError(Exception):
     pass
 
 
-def _envelope(command: str, parameters: dict, result) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-    }
-
-
 def _emit(args, command: str, parameters: dict, result_json, result_text) -> None:
     """Print the result in the chosen format; ``result_json`` and
-    ``result_text`` are thunks, and only the chosen one is called."""
+    ``result_text`` are thunks returning text, and only the chosen one is
+    called.  The JSON envelope {version, command, parameters, result} is
+    composed as text around the result's JSON text, in ``json.dumps``'s
+    layout, so a large result is encoded once and never as nested objects."""
     if getattr(args, "format", "text") == "json":
-        print(json.dumps(_envelope(command, parameters, result_json())))
+        print(
+            f'{{"version": {json.dumps(SCHEMA_VERSION)}, "command": {json.dumps(command)}, '
+            f'"parameters": {json.dumps(parameters)}, "result": {result_json()}}}'
+        )
     else:
         print(result_text())
 
 
 def _emit_value(args, command: str, parameters: dict, key: str, value) -> None:
     """Emit one exact rational: {key: "p/q"} in JSON, "p/q" as text."""
-    _emit(args, command, parameters, lambda: {key: str(value)}, lambda: str(value))
+    _emit(args, command, parameters, lambda: json.dumps({key: str(value)}), lambda: str(value))
 
 
 def _degree_cap(default: int) -> int:
@@ -145,15 +143,15 @@ def cmd_expand(args) -> int:
     combo = magnus.bch_ode(n) if args.basis != "monomial" else None
     agree = combo.evaluate(n) == series if args.basis == "both" else None
 
-    def as_json() -> dict:
-        out: dict = {}
+    def as_json() -> str:
+        fields = []
         if series is not None:
-            out["monomial"] = series_to_json(series)
+            fields.append(f'"monomial": {series_json_text(series)}')
         if combo is not None:
-            out["primitive"] = combo.to_json()
+            fields.append(f'"primitive": {json.dumps(combo.to_json())}')
         if agree is not None:
-            out["bases_agree"] = agree
-        return out
+            fields.append(f'"bases_agree": {json.dumps(agree)}')
+        return "{" + ", ".join(fields) + "}"
 
     def as_text() -> str:
         lines = []
@@ -196,7 +194,7 @@ def cmd_coeff(args) -> int:
             args,
             "coeff",
             params,
-            lambda: {"cuts": str(via_cuts), "series": str(via_series), "match": agree},
+            lambda: json.dumps({"cuts": str(via_cuts), "series": str(via_series), "match": agree}),
             lambda: f"cuts: {via_cuts}\nseries: {via_series}\nmatch: {str(agree).lower()}",
         )
         if not agree:
@@ -224,7 +222,7 @@ def cmd_check(args) -> int:
         args,
         "check",
         params,
-        lambda: {"checks": payload, "passed": all_ok},
+        lambda: json.dumps({"checks": payload, "passed": all_ok}),
         lambda: "\n".join(lines),
     )
     return 0 if all_ok else 1
@@ -278,7 +276,13 @@ def cmd_tau(args) -> int:
     _check_degree(max(n, 1), args.max_degree)
     combo = magnus.tau_components(n)[n]
     params = {"n": n}
-    _emit(args, "tau", params, combo.to_json, lambda: combo.to_text(latex=args.format == "latex"))
+    _emit(
+        args,
+        "tau",
+        params,
+        lambda: json.dumps(combo.to_json()),
+        lambda: combo.to_text(latex=args.format == "latex"),
+    )
     return 0
 
 
@@ -304,7 +308,7 @@ def cmd_log(args) -> int:
         args,
         "log",
         params,
-        lambda: series_to_json(series),
+        lambda: series_json_text(series),
         lambda: format_series(series, "latex" if args.format == "latex" else "compact"),
     )
     return 0

@@ -14,6 +14,7 @@ breaks the tree-indexed logarithm.
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 from fractions import Fraction
 from functools import cache, partial
@@ -27,7 +28,6 @@ from .magma import (
     format_monomial,
     leaf,
     monomial_from_json,
-    monomial_to_json,
     node,
     word_letters,
 )
@@ -582,14 +582,30 @@ def format_series(s: Series, style: str = "compact") -> str:
     return s.to_text(style == "latex")
 
 
+def series_json_text(s: Series) -> str:
+    """The series as JSON text, {"truncation", "constant", "terms"}, laid out
+    as ``json.dumps`` lays it out; each term is {"monomial", "coeff"}, with
+    the monomial as nested two-element arrays (``magma.monomial_to_json``).
+
+    The series' monomials share most of their subtrees, and the pool interns
+    them, so a memo local to the call encodes each distinct subtree once and
+    a product's text joins its factors' texts.  The exact rationals print as
+    digits, "-" and "/", which JSON strings hold unescaped."""
+    memo = {}
+
+    def encode(m):
+        text = memo.get(m)
+        if text is None:
+            text = json.dumps(m.var) if m.is_leaf else f"[{encode(m.left)}, {encode(m.right)}]"
+            memo[m] = text
+        return text
+
+    terms = ", ".join(f'{{"monomial": {encode(m)}, "coeff": "{c}"}}' for m, c in s.items())
+    return f'{{"truncation": {s.truncation}, "constant": "{s.constant}", "terms": [{terms}]}}'
+
+
 def series_to_json(s: Series) -> dict:
-    return {
-        "truncation": s.truncation,
-        "constant": str(s.constant),
-        "terms": [
-            {"monomial": monomial_to_json(m), "coeff": str(c)} for m, c in s.items()
-        ],
-    }
+    return json.loads(series_json_text(s))
 
 
 def series_from_json(data: dict) -> Series:

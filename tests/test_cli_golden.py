@@ -99,6 +99,11 @@ GOLDEN = [
     ("nj --tuple 2,1", 0, "fb2743bec153bc6094fb21d0ce07d780c228581dc696d5832809baff35ccc266"),
     ("coeff --monomial ((xy)(xy)) --method both", 0, "47e2822559ad58d854fc23c657046a0ed6bea56a78433c094c5aef96d5750039"),
     ("check --suite all --degree 4", 0, "453ae1f8a5bc88b07ff49a0c3f8378e9eccb46c01b7b286f7e3428d1c3feb2d0"),
+    # these JSON pins were captured while the envelope was still one json.dumps call
+    ("bernoulli --k 6 --method recurrence --format json", 0, "8da46cb8f0f6ed5b9e07ec735d7a398487f3a4538eb356dc64e8d0c94bfbd6b8"),
+    ("nj --tuple 2,1 --format json", 0, "8145900a0f4e00020b5af23bfbacb851ce7ad99a76c18b5c322d095f9fde06a2"),
+    ("coeff --monomial ((xy)(xy)) --method both --format json", 0, "2535e43b07d0a5a7f91b3346e05a5886127acdb41862b0f6897bde6b217e3d9b"),
+    ("check --suite all --degree 4 --format json", 0, "fcd224a78e50d01c62cc5a32758febf25b63c18e58b1825540ce06b7d896885a"),
     ("expand --degree 9 --format text", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("expand --degree 9 --format json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]

@@ -1,14 +1,22 @@
 """Hypothesis property tests over randomly generated monomials and series."""
 
+import json
 from fractions import Fraction as F
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from nabch.hopf import coproduct, coproduct_monomial, is_primitive
-from nabch.magma import compare, format_monomial, leaf, node, parse
+from nabch.magma import compare, format_monomial, leaf, monomial_to_json, node, parse
 from nabch.magnus import _cross_bracket
-from nabch.series import Series, project_associative, substitute
+from nabch.series import (
+    Series,
+    project_associative,
+    series_from_json,
+    series_json_text,
+    series_to_json,
+    substitute,
+)
 from nabch.suops import (
     GX,
     GY,
@@ -166,3 +174,43 @@ def test_prim_combo_evaluate_is_termwise_sum(combo, n):
     for e, c in combo.terms.items():
         want = want + c * eval_prim(e, n)
     assert combo.evaluate(n) == want
+
+
+def coefficients():
+    negative_fractions = st.builds(F, st.integers(-99, -1), st.integers(2, 9))
+    return st.one_of(st.integers(-50, 50), negative_fractions)
+
+
+@st.composite
+def shared_series(draw):
+    """A series whose monomials are built from one growing list of trees, so
+    they share subtrees: each step multiplies one of the newest trees by one
+    of the first few, so the trees nest up to about 30 deep.  The degree
+    stays small enough for the nested-list encoding, which expands every
+    shared subtree."""
+    pool = [leaf("x"), leaf("y")]
+    step = st.tuples(st.integers(0, 1), st.integers(0, 3), st.booleans())
+    for _ in range(draw(st.integers(0, 40))):
+        back, pick, newest_left = draw(step)
+        a, b = pool[-1 - min(back, len(pool) - 1)], pool[pick % len(pool)]
+        if a.degree + b.degree <= 80:
+            pool.append(node(a, b) if newest_left else node(b, a))
+    picks = draw(st.lists(st.tuples(st.integers(0, 12), coefficients()), max_size=8))
+    terms = {pool[-1 - i % len(pool)]: c for i, c in picks}
+    truncation = max((m.degree for m in terms), default=1) + draw(st.integers(0, 2))
+    return Series(truncation, terms, draw(st.one_of(st.just(0), coefficients())))
+
+
+def nested_encoding(s):
+    return {
+        "truncation": s.truncation,
+        "constant": str(s.constant),
+        "terms": [{"monomial": monomial_to_json(m), "coeff": str(c)} for m, c in s.items()],
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_series())
+def test_series_json_text_is_the_nested_encoding_dumped(s):
+    assert series_json_text(s) == json.dumps(nested_encoding(s))
+    assert series_from_json(series_to_json(s)) == s
