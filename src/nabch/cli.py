@@ -42,11 +42,12 @@ DEFAULT_CAP = 8
 # On one core of a shared 2-core machine (Python 3.11), expand --basis
 # primitive took about 0.5 s at degree 7, 3 s at 74 MB peak at 8 and 23 s at
 # 360 MB peak at 9 (21 s at 417 MB as JSON).  --basis both also evaluates
-# every term, which dominates: about 0.6 s at degree 6, 4.5 s at 58 MB at 7.
+# every term, which dominates: about 0.3 s at degree 6, 2.2 s at 53 MB peak at
+# 7 (59 MB as JSON) and 24 s at 405 MB peak at 8 as text.
 PRIMITIVE_CAP = 8
 PRIMITIVE_NOTE = " of the primitive route, which took about 23 s and 360 MB at degree 9"
-BOTH_CAP = 6
-BOTH_NOTE = " of expand --basis both, which took about 4.5 s at degree 7"
+BOTH_CAP = 7
+BOTH_NOTE = " of expand --basis both, which took about 24 s and 405 MB at degree 8"
 # The cut route's left-spine recurrence takes about 3 ms for the slowest
 # degree-32 coefficient on the same machine; the cap keeps it bounded.
 CUTS_CAP = 32

@@ -18,9 +18,10 @@ an exact evaluator, plus a round-trip text syntax:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from . import hopf
 from .magma import ParseError, node
@@ -33,29 +34,33 @@ def associator(a: Series, b: Series, c: Series) -> Series:
 
 def _proper(s: Series) -> dict:
     """The Sweedler pairs of Delta(s) whose right slot is not the unit."""
-    return {k: c for k, c in hopf.coproduct(s).terms.items() if k[1] is not None}
-
-
-def p_series(u: Series, v: Series, z: Series) -> Series:
-    """The primitive p-operation on series arguments.
-
-    An associator with a unit slot vanishes, so only the pairs (a, b) of
-    Delta(u) and (c, d) of Delta(v) with b and d not the unit contribute,
-    through their tensor product (w, bd) = (ac, bd), and so do only the terms
-    t of z.  Each adds w \\ ((bd)t) - w \\ (b(dt)), from cached quotients.
-    """
-    n = min(u.truncation, v.truncation, z.truncation)
-    pairs = _product(_proper(u), _proper(v), n - 1, hopf._tensor_join, hopf._key_degree)
     out: dict = {}
+    for m, c in s.terms.items():
+        _accumulate(out, hopf.coproduct_monomial(m).items(), c)
+    return {k: c for k, c in out.items() if c and k[1] is not None}
+
+
+def _add_p(out: dict, proper_u: dict, proper_v: dict, z: Series, n: int, scale) -> dict:
+    """Add scale * p(U, V, z) at truncation n into ``out`` and return it, from
+    the proper coproducts of U and V.  An associator with a unit slot vanishes,
+    so only pairs (a, b) of Delta(U) and (c, d) of Delta(V) contribute, through
+    (w, bd) = (ac, bd), each with every term t of z: w \\ ((bd)t) - w \\ (b(dt))."""
+    pairs = _product(proper_u, proper_v, n - 1, hopf._tensor_join, hopf._key_degree)
     for (w, bd), c in pairs.items():
         room = n - hopf._key_degree((w, bd))
         for t, ct in z.terms.items():
             if t.degree <= room:
-                k = c * ct
+                k = scale * c * ct
                 _accumulate(out, hopf.left_divide_monomial(w, node(bd, t)).items(), k)
                 right = node(bd.left, node(bd.right, t))
                 _accumulate(out, hopf.left_divide_monomial(w, right).items(), -k)
-    return Series(n, out)
+    return out
+
+
+def p_series(u: Series, v: Series, z: Series) -> Series:
+    """The primitive p-operation on series arguments."""
+    n = min(u.truncation, v.truncation, z.truncation)
+    return Series(n, _add_p({}, _proper(u), _proper(v), z, n, 1))
 
 
 def su_bracket_series(u: Series, y: Series, z: Series) -> Series:
@@ -64,7 +69,10 @@ def su_bracket_series(u: Series, y: Series, z: Series) -> Series:
     The counit part of u contributes eps(u) * (-[y,z]); p ignores it, so
     the whole of u goes through the p-operation.
     """
-    out = p_series(u, z, y) - p_series(u, y, z)
+    n = min(u.truncation, y.truncation, z.truncation)
+    proper_u = _proper(u)
+    terms = _add_p({}, proper_u, _proper(z), y, n, 1)
+    out = Series(n, _add_p(terms, proper_u, _proper(y), z, n, -1))
     if u.constant:
         out = out + u.constant * (z * y - y * z)
     return out
@@ -97,7 +105,9 @@ def phi(xs, ys) -> Series:
             ybar = left_normed_product(sy[:-1])
             term = p_series(xbar, ybar, sy[-1])
             total = term if total is None else total + term
-    return total / (factorial(len(xs)) * factorial(len(ys)))
+    k = factorial(len(xs)) * factorial(len(ys))  # an integral quotient stays an int for later sums
+    terms = {m: c // k if c % k == 0 else Fraction(c, k) for m, c in total.terms.items()}
+    return Series(total.truncation, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +235,15 @@ def eval_prim(e: PrimExpr, n: int) -> Series:
 
 @cache
 def _eval(e: PrimExpr) -> Series:
-    """e at its own degree d; the operands are evaluated through eval_prim."""
+    """e at its own degree d.  A commutator multiplies its operands' own values;
+    other operands are evaluated at d, as series operations need equal truncations."""
     d = e.degree
     if isinstance(e, Gen):
         return Series.generator(e.name, d)
     if isinstance(e, Commutator):
-        a = eval_prim(e.a, d)
-        b = eval_prim(e.b, d)
-        return a * b - b * a
+        a, b = _eval(e.a).terms, _eval(e.b).terms
+        out = _product(a, b, d, node)
+        return Series(d, _accumulate(out, _product(b, a, d, node).items(), -1))
     if isinstance(e, SUBracket):
         return su_bracket(
             [eval_prim(p, d) for p in e.prefix], eval_prim(e.y, d), eval_prim(e.z, d)
@@ -378,10 +389,16 @@ class PrimCombo(Combination):
         return max((e.degree for e in self.terms), default=0)
 
     def evaluate(self, n: int) -> Series:
+        """The terms of degree at most n, summed with int weights c * L, where L is
+        the coefficients' common denominator; each output term is divided by L once."""
+        kept = [(e, c) for e, c in self.terms.items() if e.degree <= n]
+        den = lcm(*(c.denominator for _, c in kept))
         acc: dict = {}
-        for e, c in self.terms.items():
-            if e.degree <= n:
-                _accumulate(acc, eval_prim(e, e.degree).terms.items(), c)
+        for e, c in kept:
+            weight = c.numerator * (den // c.denominator)
+            _accumulate(acc, eval_prim(e, e.degree).terms.items(), weight)
+        if den > 1:
+            acc = {m: Fraction(v, den) for m, v in acc.items() if v}
         return Series(n, acc)
 
     def to_json(self) -> list:

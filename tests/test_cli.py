@@ -94,9 +94,9 @@ def test_primitive_route_cap(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert "cap 8 of the primitive route" in err and "at degree 9" in err
     # evaluating every term for the comparison keeps --basis both lower
-    code, out, err = run(capsys, "expand", "--degree", "7", "--basis", "both")
+    code, out, err = run(capsys, "expand", "--degree", "8", "--basis", "both")
     assert code == 2 and out == ""
-    assert "cap 6 of expand --basis both" in err and "at degree 7" in err
+    assert "cap 7 of expand --basis both" in err and "at degree 8" in err
     # the monomial route keeps its own cap
     code, _, err = run(capsys, "expand", "--degree", "9", "--basis", "monomial")
     assert code == 2 and "cap 8" in err and "primitive" not in err

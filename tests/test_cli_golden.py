@@ -62,6 +62,11 @@ GOLDEN = [
     ("expand --basis both --degree 5 --format text", 0, "5bd3f802babd77d1b3ffd9bdec1941ca5ba16284aee5756ab1a09dc2708d595f"),
     ("expand --basis both --degree 5 --format json", 0, "1d51746e900a79db312cd6a1a7d18706e007e71e56c5e915360fbd595d3c10c4"),
     ("expand --basis both --degree 5 --format latex", 0, "bcf22fcd43547fde3f3187c9d88f4e2e2769666e0194ef1201be593ad375dddb"),
+    # captured while route 2 was still evaluated through intermediate Series
+    ("expand --basis both --degree 6 --format text", 0, "a618b5dd7ec8333794415ca7ab0d1cb401bc5e0e5dd8d6ba897cb243cf43fbf8"),
+    ("expand --basis both --degree 6 --format json", 0, "84e5f4733bcd9feab5fb0e2ede39a7d3a92b0756af1b2e5c0b2cb576671b6ffa"),
+    ("expand --basis both --degree 6 --format latex", 0, "c9d216e3a3477b5c3b8481ad01ffebe17280f180a209a1b6b4990ffdca6c9199"),
+    ("expand --basis both --degree 7 --max-degree 7 --format json", 0, "4ae79e86468f0686f65cd1449657dbba1f05b5e8e9d65e00d142a0be664040d1"),
     ("tau --n 0 --format text", 0, "3bb2abb69ebb27fbfe63c7639624c6ec5e331b841a5bc8c3ebc10b9285e90877"),
     ("tau --n 0 --format json", 0, "a53155c780fe24750ca6cd90caf8ddd8de93d1848cf95ef8d6507bcfd7cff56b"),
     ("tau --n 0 --format latex", 0, "3bb2abb69ebb27fbfe63c7639624c6ec5e331b841a5bc8c3ebc10b9285e90877"),

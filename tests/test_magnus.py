@@ -262,7 +262,7 @@ def test_bch_exponentiates_back():
 # -- the ODE route
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_bch_ode_equals_bch_monomial(n):
     assert bch_ode(n).evaluate(n) == bch_monomial(n)
 

@@ -6,7 +6,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from nabch.hopf import coproduct, coproduct_monomial, is_primitive
+from nabch.hopf import coproduct, coproduct_monomial, is_primitive, left_divide
 from nabch.magma import compare, format_monomial, leaf, monomial_to_json, node, parse
 from nabch.magnus import _cross_bracket
 from nabch.series import (
@@ -23,10 +23,13 @@ from nabch.suops import (
     Commutator,
     PrimCombo,
     _canon,
+    associator,
     eval_prim,
+    p_series,
     phi_expr,
     su_bracket,
     su_bracket_expr,
+    su_bracket_series,
 )
 
 
@@ -105,6 +108,40 @@ def test_substitute_into_single_power(u):
     u = u - Series(u.truncation, constant=u.constant)
     f = Series.generator("x", u.truncation)
     assert substitute(f, u) == u
+
+
+def unital_series(truncation=4, max_degree=3):
+    """A series with a nonzero constant term."""
+    nonzero = rationals().filter(bool)
+    return st.tuples(series(truncation, max_degree), nonzero).map(
+        lambda sc: Series(truncation, sc[0].terms, sc[1])
+    )
+
+
+def _sweedler(s):
+    """(coefficient, left factor, right factor) over Delta(s), units as Series.one."""
+    def part(m):
+        return Series.one(s.truncation) if m is None else Series.monomial(m, s.truncation)
+
+    return [(c, part(a), part(b)) for (a, b), c in coproduct(s).terms.items()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(unital_series(), unital_series(), series(max_degree=2))
+def test_p_series_is_the_sweedler_sum(u, v, z):
+    # p(U, V, Z) = sum (U_(1) V_(1)) \ (U_(2), V_(2), Z), term by term
+    want = Series.zero(4)
+    for cu, u1, u2 in _sweedler(u):
+        for cv, v1, v2 in _sweedler(v):
+            want = want + (cu * cv) * left_divide(u1 * v1, associator(u2, v2, z))
+    assert p_series(u, v, z) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(unital_series(), series(), series())
+def test_bracket_is_the_p_difference_plus_the_unit_part(u, y, z):
+    want = p_series(u, z, y) - p_series(u, y, z) + u.constant * (z * y - y * z)
+    assert su_bracket_series(u, y, z) == want
 
 
 @settings(max_examples=10, deadline=None)

@@ -303,9 +303,49 @@ def test_prim_combo_algebra():
 
 
 def test_prim_combo_eval_matches_termwise():
-    combo = PrimCombo({Commutator(GX, GY): F(1, 2), su_bracket_expr([GX], GX, GY): F(-1, 3)})
-    n = 3
-    want = F(1, 2) * eval_prim(Commutator(GX, GY), n) + F(-1, 3) * eval_prim(
-        su_bracket_expr([GX], GX, GY), n
+    exprs = (
+        GX,
+        Commutator(GX, GY),
+        su_bracket_expr([GX], GX, GY),
+        su_bracket_expr([GX, GY], GY, Commutator(GX, GY)),
+        phi_expr([GX, GY], [GY, GY]),
     )
-    assert combo.evaluate(n) == want
+    combo = PrimCombo(dict(zip(exprs, (3, F(-2, 3), -1, F(-5, 4), F(-7, 6)))))
+    # below n = 5 some terms lie above n and drop out
+    for n in range(1, 6):
+        want = Series.zero(n)
+        for e, c in combo.terms.items():
+            want = want + c * eval_prim(e, n)
+        assert combo.evaluate(n) == want
+    assert PrimCombo({}).evaluate(3) == Series.zero(3)
+    ints = PrimCombo({GX: 2, Commutator(GX, GY): -3}).evaluate(2)
+    assert ints == 2 * Series.generator("x", 2) - 3 * eval_prim(Commutator(GX, GY), 2)
+    assert {type(c) for c in ints.terms.values()} == {int}
+
+
+def test_phi_divides_exactly_and_keeps_integral_quotients_ints():
+    n = 4
+    x, y = gens(n, "x", "y")
+    total = Series.zero(n)
+    for sx in itertools.permutations([x, y]):
+        for sy in itertools.permutations([y, y]):
+            total = total + p_series(left_normed_product(sx), sy[0], sy[1])
+    got = phi([x, y], [y, y])
+    assert got == total / 4
+    assert {type(c) for c in got.terms.values()} == {int, F}
+    assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+
+
+def test_eval_nested_commutator_is_series_commutator():
+    # [[[x,y],x], [<x; x,y>,y]], of degree 7, from Series arithmetic at truncation 8
+    x, y = gens(8, "x", "y")
+    xy = x * y - y * x
+    a = xy * x - x * xy
+    b = su_bracket([x], x, y) * y - y * su_bracket([x], x, y)
+    want = a * b - b * a
+    bracket = su_bracket_expr([GX], GX, GY)
+    e = Commutator(Commutator(Commutator(GX, GY), GX), Commutator(bracket, GY))
+    assert not want.is_zero()
+    assert eval_prim(e, 8) == want
+    assert eval_prim(e, 7) == want.truncate(7)
+    assert eval_prim(e, 6).is_zero()
