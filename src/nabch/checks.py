@@ -21,10 +21,12 @@ from .cuts import (
     enumerate_cuts,
     xmyn_monomial,
 )
+from .hopf import _graft
 from .magma import enumerate_monomials, is_left_normed_word, leaf, left_normed_power, node
 from .series import (
     Q,
     Series,
+    _accumulate,
     _normalise,
     bernoulli,
     dynkin_bch,
@@ -65,6 +67,53 @@ def _triple_coproduct(s: Series, left_first: bool):
     return _normalise(pairs)
 
 
+def _division_failure(degree: int) -> str:
+    """The first case that breaks one of the four division identities
+
+        sum u_(1) \\ (u_(2) v) = sum u_(1) (u_(2) \\ v) = eps(u) v
+        sum (v u_(1)) / u_(2) = sum (v / u_(1)) u_(2) = eps(u) v,
+
+    or "" if none does.  First every monomial u of degree <= min(degree, 4)
+    against every monomial v of degree <= 2, where eps(u) = 0: the four
+    sides are summed over the monomial quotients, each into one dict.  Then
+    the series-level divisions on random multi-term U and V with nonzero
+    constants, which also exercises their units, constants and truncation.
+    """
+    left, right = hopf.left_divide_monomial, hopf.right_divide_monomial
+    for du in range(1, min(degree, 4) + 1):
+        for u in enumerate_monomials(du):
+            cp = hopf.coproduct_monomial(u).items()
+            for dv in (1, 2):
+                for v in enumerate_monomials(dv):
+                    sides = ({}, {}, {}, {})
+                    for (a, b), c in cp:
+                        _accumulate(sides[0], left(a, _graft(b, v)).items(), c)
+                        _accumulate(sides[1], ((_graft(a, t), k) for t, k in left(b, v).items()), c)
+                        _accumulate(sides[2], right(_graft(v, a), b).items(), c)
+                        _accumulate(sides[3], ((_graft(t, b), k) for t, k in right(v, a).items()), c)
+                    if any(any(side.values()) for side in sides):
+                        return f"u={u!r} v={v!r}"
+
+    rng = random.Random(16)  # apart from the other checks' generator
+    n = 5
+    one = Series.one(n)
+    for _ in range(3):
+        u = Series(n, _random_series(rng, 3, n).terms, rng.choice((-2, -1, 1, 2)))
+        v = Series(n, _random_series(rng, 2, n).terms, rng.choice((-1, 1, Q(1, 2))))
+        sides = [Series.zero(n)] * 4
+        for (a, b), c in hopf.coproduct(u).terms.items():
+            sa = one if a is None else Series.monomial(a, n)
+            sb = one if b is None else Series.monomial(b, n)
+            sides[0] += c * hopf.left_divide(sa, sb * v)
+            sides[1] += c * (sa * hopf.left_divide(sb, v))
+            sides[2] += c * hopf.right_divide(v * sa, sb)
+            sides[3] += c * (hopf.right_divide(v, sa) * sb)
+        want = hopf.counit(u) * v
+        if any(side != want for side in sides):
+            return f"U={u!r} V={v!r}"
+    return ""
+
+
 def check_hopf(degree: int) -> list[CheckResult]:
     out = []
     rng = random.Random(7)
@@ -97,30 +146,8 @@ def check_hopf(degree: int) -> list[CheckResult]:
                 ok = False
     out.append(CheckResult("counit laws", ok))
 
-    ok = True
-    detail = ""
-    nn = min(degree, 4) + 2
-    for du in range(1, min(degree, 4) + 1):
-        for u in enumerate_monomials(du):
-            for dv in range(1, 3):
-                for v in enumerate_monomials(dv):
-                    vs = Series.monomial(v, nn)
-                    zero = Series.zero(nn)
-                    lhs1 = zero
-                    lhs2 = zero
-                    lhs3 = zero
-                    lhs4 = zero
-                    for (a, b), c in hopf.coproduct_monomial(u).items():
-                        sa = Series.one(nn) if a is None else Series.monomial(a, nn)
-                        sb = Series.one(nn) if b is None else Series.monomial(b, nn)
-                        lhs1 = lhs1 + c * hopf.left_divide(sa, sb * vs)
-                        lhs2 = lhs2 + c * (sa * hopf.left_divide(sb, vs))
-                        lhs3 = lhs3 + c * hopf.right_divide(vs * sa, sb)
-                        lhs4 = lhs4 + c * (hopf.right_divide(vs, sa) * sb)
-                    if not (lhs1.is_zero() and lhs2.is_zero() and lhs3.is_zero() and lhs4.is_zero()):
-                        ok = False
-                        detail = f"u={u!r} v={v!r}"
-    out.append(CheckResult("division identities", ok, detail))
+    detail = _division_failure(degree)
+    out.append(CheckResult("division identities", not detail, detail))
 
     ok = True
     for _ in range(3):
@@ -178,47 +205,57 @@ def check_suops(degree: int) -> list[CheckResult]:
         ok = False
     out.append(CheckResult("associative collapse of brackets", ok))
 
-    ok = True
-    detail = ""
+    detail = _bracket_recursion_failure(degree)
+    out.append(CheckResult("bracket recursion identity (three letters)", not detail, detail))
+    return out
+
+
+def _bracket_recursion_failure(degree: int) -> str:
+    """The first case that breaks (x y) z - (x z) y = -sum x_(1) <x_(2); y, z>
+    for x a left-normed word of degree <= min(degree, 3) over x, y, z and y, z
+    generators, or "" if none does.  The right side is summed into one dict;
+    <b; y, z> has no constant term, since the commutator of its unit part
+    has none."""
     nn = min(degree, 3) + 2
     for degw in range(1, min(degree, 3) + 1):
         for letters in itertools.product("xyz", repeat=degw):
             xbar = leaf(letters[0])
             for l in letters[1:]:
                 xbar = node(xbar, leaf(l))
+            xb = Series.monomial(xbar, nn)
             for gy in "xyz":
                 for gz in "xyz":
                     ys = Series.generator(gy, nn)
                     zs = Series.generator(gz, nn)
-                    xb = Series.monomial(xbar, nn)
                     lhs = (xb * ys) * zs - (xb * zs) * ys
-                    rhs = Series.zero(nn)
+                    rhs: dict = {}
                     for (a, b), mult in hopf.coproduct_monomial(xbar).items():
                         bs = Series.one(nn) if b is None else Series.monomial(b, nn)
-                        br = su_bracket_series(bs, ys, zs)
-                        rhs = rhs + mult * (br if a is None else Series.monomial(a, nn) * br)
-                    if lhs != -1 * rhs:
-                        ok = False
-                        detail = f"word={''.join(letters)} y={gy} z={gz}"
-    out.append(CheckResult("bracket recursion identity (three letters)", ok, detail))
-    return out
+                        br = su_bracket_series(bs, ys, zs).terms.items()
+                        _accumulate(rhs, ((_graft(a, t), k) for t, k in br), -mult)
+                    if lhs != Series(nn, rhs):
+                        return f"word={''.join(letters)} y={gy} z={gz}"
+    return ""
+
+
+def _dsw_failure(degree: int) -> str:
+    """The first case that breaks the bracket recursion of gamma_d, for the
+    degree derivation and y d/dx, or "" if none does."""
+    for du in range(1, min(degree, 4) + 1):
+        for u in enumerate_monomials(du):
+            for a in ("x", "y"):
+                if not dsw.dsw_identity_check(u, a, dsw.DEGREE):
+                    return f"u={u!r} a={a} (degree derivation)"
+                if not dsw.dsw_identity_check(u, a, dsw.y_partial_x(du + 1)):
+                    return f"u={u!r} a={a} (y d/dx)"
+    return ""
 
 
 def check_dsw(degree: int) -> list[CheckResult]:
     out = []
 
-    ok = True
-    detail = ""
-    for du in range(1, min(degree, 4) + 1):
-        for u in enumerate_monomials(du):
-            for a in ("x", "y"):
-                if not dsw.dsw_identity_check(u, a, dsw.DEGREE):
-                    ok = False
-                    detail = f"u={u!r} a={a} (degree derivation)"
-                if not dsw.dsw_identity_check(u, a, dsw.y_partial_x(du + 1)):
-                    ok = False
-                    detail = f"u={u!r} a={a} (y d/dx)"
-    out.append(CheckResult("Dynkin-Specht-Wever recursion", ok, detail))
+    detail = _dsw_failure(degree)
+    out.append(CheckResult("Dynkin-Specht-Wever recursion", not detail, detail))
 
     ok = True
     for d in range(1, min(degree, 5) + 1):

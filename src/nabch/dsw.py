@@ -103,7 +103,8 @@ def dsw_identity_check(u, a: str, d: Derivation, truncation: int | None = None) 
         rhs = apply(d, a_series)
         return lhs == rhs
     lhs = gamma(d, Series.monomial(node(u, ga), n))
-    rhs = Series.zero(n)  # eps(u) = 0 for a monomial u
+    # eps(u) = 0 for a monomial u, and a bracket <p; a, g> has no constant term
+    rhs: dict = {}
     for (p, q), mult in hopf.coproduct_monomial(u).items():
         if q is None:
             continue  # gamma_d(1) = 0
@@ -111,8 +112,8 @@ def dsw_identity_check(u, a: str, d: Derivation, truncation: int | None = None) 
         if gq.is_zero():
             continue
         p_series_arg = Series.one(n) if p is None else Series.monomial(p, n)
-        rhs = rhs + mult * su_bracket_series(p_series_arg, a_series, gq)
-    return lhs == rhs
+        _accumulate(rhs, su_bracket_series(p_series_arg, a_series, gq).terms.items(), mult)
+    return lhs == Series(n, rhs)
 
 
 @cache

@@ -118,20 +118,43 @@ def _left_divide(u: Monomial, v) -> MappingProxyType:
     return MappingProxyType({t: k for t, k in out.items() if k})
 
 
-def left_divide(u: Series, v: Series) -> Series:
-    """Bilinear extension of the monomial-level left division, units included."""
-    n = _join_truncation(u.truncation, v.truncation)
+def right_divide_monomial(v, u) -> MappingProxyType:
+    """v / u for v and u each a monomial or the unit None, read-only: the
+    left division of the opposite magma, v / u = mirror(mirror(u) \\ mirror(v)).
+
+    v / 1 = v, not memoised, as in :func:`left_divide_monomial`.
+    """
+    if u is None:
+        return MappingProxyType({v: 1})
+    return _right_divide(v, u)
+
+
+@cache
+def _right_divide(v, u: Monomial) -> MappingProxyType:
+    quotient = _left_divide(mirror(u), None if v is None else mirror(v))
+    return MappingProxyType({mirror(t): k for t, k in quotient.items()})
+
+
+def _divide(p: Series, q: Series, monomial_division) -> Series:
+    """The bilinear extension of ``monomial_division`` to series, their
+    constants entering at the unit None: sum of c d monomial_division(m, t)
+    over the terms c m of p and d t of q."""
+    n = _join_truncation(p.truncation, q.truncation)
     out: dict = {}
-    for (m, t), c in _product(_with_unit(u), _with_unit(v), n, _pair, _degree).items():
-        _accumulate(out, left_divide_monomial(m, t).items(), c)
-    constant = out.pop(None, 0)  # 1 \ 1 = 1
+    for (m, t), c in _product(_with_unit(p), _with_unit(q), n, _pair, _degree).items():
+        _accumulate(out, monomial_division(m, t).items(), c)
+    constant = out.pop(None, 0)  # 1 \ 1 = 1 / 1 = 1
     return Series(n, out, constant)
 
 
+def left_divide(u: Series, v: Series) -> Series:
+    """u \\ v, the bilinear extension of :func:`left_divide_monomial`."""
+    return _divide(u, v, left_divide_monomial)
+
+
 def right_divide(v: Series, u: Series) -> Series:
-    """v / u, the left division of the opposite magma:
-    v / u = mirror(mirror(u) \\ mirror(v)); v / 1 = v."""
-    return left_divide(u.map_monomials(mirror), v.map_monomials(mirror)).map_monomials(mirror)
+    """v / u, the bilinear extension of :func:`right_divide_monomial`."""
+    return _divide(v, u, right_divide_monomial)
 
 
 def is_primitive(s: Series) -> bool:

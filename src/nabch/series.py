@@ -297,7 +297,9 @@ class Series(Combination):
         return Series(n, self.terms, self.constant)
 
     def map_monomials(self, f) -> "Series":
-        """Linear extension of a monomial map f: Monomial -> Monomial."""
+        """Linear extension of a monomial map f: Monomial -> Monomial.
+
+        No code of the package calls it; bench/spans.py wraps it by name."""
         return Series(self.truncation, ((f(m), c) for m, c in self.terms.items()), self.constant)
 
     def __truediv__(self, other):

@@ -13,10 +13,11 @@ from nabch.hopf import (
     left_divide,
     left_divide_monomial,
     right_divide,
+    right_divide_monomial,
     tensor_from_json,
     tensor_to_json,
 )
-from nabch.magma import enumerate_monomials, leaf, parse
+from nabch.magma import enumerate_monomials, leaf, mirror, parse
 from nabch.series import Series, exp_l, exp_r
 from nabch.magnus import bch_monomial
 
@@ -140,6 +141,37 @@ def test_division_identities_all_four(du):
                     s4 = s4 + c * (right_divide(vs, sa) * sb)
                 # eps(u) = 0 for every monomial u
                 assert s1.is_zero() and s2.is_zero() and s3.is_zero() and s4.is_zero()
+
+
+def _mirrored(s):
+    return Series(s.truncation, {mirror(m): c for m, c in s.terms.items()}, s.constant)
+
+
+def test_right_division_is_left_division_of_the_opposite_magma_on_monomials():
+    n = 8
+    units_and_monomials = [Series.one(n)] + [
+        Series.monomial(m, n) for d in range(1, 5) for m in enumerate_monomials(d)
+    ]
+    for us in units_and_monomials:
+        mu = _mirrored(us)
+        for vs in units_and_monomials:
+            want = _mirrored(left_divide(mu, _mirrored(vs)))
+            assert right_divide(vs, us) == want, (vs, us)
+
+
+def test_right_division_is_left_division_of_the_opposite_magma_on_series():
+    rng = random.Random(16)
+    for _ in range(6):
+        u = random_series(rng, 3, 5)
+        v = random_series(rng, 3, 5)
+        assert right_divide(v, u) == _mirrored(left_divide(_mirrored(u), _mirrored(v)))
+
+
+def test_right_division_of_monomials_is_read_only():
+    with pytest.raises(TypeError):
+        right_divide_monomial(parse("(xy)"), X)[Y] = 1
+    with pytest.raises(TypeError):
+        right_divide_monomial(Y, None)[Y] = 2
 
 
 def test_division_identity_on_grouplike():
