@@ -122,15 +122,11 @@ def right_divide_monomial(v, u) -> MappingProxyType:
     """v / u for v and u each a monomial or the unit None, read-only: the
     left division of the opposite magma, v / u = mirror(mirror(u) \\ mirror(v)).
 
-    v / 1 = v, not memoised, as in :func:`left_divide_monomial`.
+    Not memoised: it mirrors the memoised left quotient back term by term,
+    and a memo of its own would hold a second copy of every quotient.
     """
     if u is None:
         return MappingProxyType({v: 1})
-    return _right_divide(v, u)
-
-
-@cache
-def _right_divide(v, u: Monomial) -> MappingProxyType:
     quotient = _left_divide(mirror(u), None if v is None else mirror(v))
     return MappingProxyType({mirror(t): k for t, k in quotient.items()})
 

@@ -41,7 +41,6 @@ def _results():
 def test_clearing_every_memo_empties_it_and_recomputes_equal_results():
     memos = _memos()
     assert len(memos) >= 22, sorted(memos)
-    assert {"nabch.hopf._left_divide", "nabch.hopf._right_divide"} <= memos.keys()
     before = _results()
     for memo in memos.values():
         memo.cache_clear()
