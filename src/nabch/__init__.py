@@ -61,16 +61,13 @@ from .suops import (
     SUBracket,
     associator,
     eval_prim,
-    expr_degree,
     expr_to_latex,
     expr_to_text,
     p_series,
     parse_prim_expr,
     phi,
-    phi_expr,
     su_bracket,
     su_bracket_expr,
-    su_bracket_series,
 )
 from .dsw import (
     DEGREE,

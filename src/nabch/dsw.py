@@ -21,7 +21,7 @@ from types import MappingProxyType
 from . import hopf
 from .magma import Monomial, is_left_normed_word, leaf, node, word_letters
 from .series import Series, _accumulate, _normalise
-from .suops import Gen, PrimCombo, su_bracket_expr, su_bracket_series
+from .suops import Gen, PrimCombo, _add_bracket, su_bracket_expr
 
 
 @dataclass(frozen=True)
@@ -92,27 +92,22 @@ def gamma(d: Derivation, s: Series) -> Series:
     return Series(s.truncation, out)
 
 
-def dsw_identity_check(u, a: str, d: Derivation, truncation: int | None = None) -> bool:
-    """Evaluate both sides of the bracket recursion exactly; u may be None (the unit)."""
+def dsw_identity_check(u, a: str, d: Derivation) -> bool:
+    """Evaluate both sides of the bracket recursion exactly, at truncation
+    deg(u) + 1 (at least 2); u may be None (the unit)."""
     ga = leaf(a)
-    deg_u = 0 if u is None else u.degree
-    n = truncation if truncation is not None else max(deg_u + 1, 2)
-    a_series = Series.generator(a, n)
+    n = max((0 if u is None else u.degree) + 1, 2)
     if u is None:
-        lhs = gamma(d, a_series)
-        rhs = apply(d, a_series)
-        return lhs == rhs
+        a_series = Series.generator(a, n)
+        return gamma(d, a_series) == apply(d, a_series)
     lhs = gamma(d, Series.monomial(node(u, ga), n))
     # eps(u) = 0 for a monomial u, and a bracket <p; a, g> has no constant term
     rhs: dict = {}
     for (p, q), mult in hopf.coproduct_monomial(u).items():
-        if q is None:
-            continue  # gamma_d(1) = 0
-        gq = Series(n, _gamma_monomial(d, q))
-        if gq.is_zero():
-            continue
-        p_series_arg = Series.one(n) if p is None else Series.monomial(p, n)
-        _accumulate(rhs, su_bracket_series(p_series_arg, a_series, gq).terms.items(), mult)
+        gq = None if q is None else _gamma_monomial(d, q)  # gamma_d(1) = 0
+        if gq:
+            prefix, unit = ({}, 1) if p is None else ({p: 1}, 0)
+            _add_bracket(rhs, prefix, unit, {ga: 1}, gq, n, mult)
     return lhs == Series(n, rhs)
 
 

@@ -24,10 +24,10 @@ from .suops import (
     GX,
     GY,
     Gen,
+    Phi,
     PrimCombo,
     PrimExpr,
     _canon,
-    phi_expr,
     su_bracket,
     su_bracket_expr,
 )
@@ -266,7 +266,7 @@ def bch_ode(n: int) -> PrimCombo:
     if n < 1:
         raise ValueError("degree must be >= 1")
     drive = [(GY, Q(1))] + [
-        (phi_expr((GX,) * m, (GY,) * (k + 1)), -Q(1, factorial(m) * factorial(k)))
+        (Phi((GX,) * m, (GY,) * (k + 1)), -Q(1, factorial(m) * factorial(k)))
         for k in range(1, n - 1)
         for m in range(1, n - k)
     ]

@@ -7,8 +7,9 @@ The building block is the p-operation
 with (a,b,c) = (ab)c - a(bc) the associator; from it the bracket
 <x1,...,xm; y, z> and the fully symmetrized Phi are assembled.  All of
 them take arbitrary truncated series as arguments; the multilinear
-generator forms are special cases.  The m = 0 bracket is a convention, not
-an instance of the formula: <y,z> := -[y,z].
+generator forms are special cases.  The m = 0 bracket is the unit prefix,
+<1; y, z> = -[y,z]: p ignores the unit, whose counit part gives the
+commutator, so one term-map kernel computes every bracket and commutator.
 
 The same operations also exist symbolically as :class:`PrimExpr` trees with
 an exact evaluator, plus a round-trip text syntax:
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial, lcm
+from math import lcm
 
 from . import hopf
 from .magma import ParseError, node
@@ -32,23 +33,24 @@ def associator(a: Series, b: Series, c: Series) -> Series:
     return (a * b) * c - a * (b * c)
 
 
-def _proper(s: Series) -> dict:
-    """The Sweedler pairs of Delta(s) whose right slot is not the unit."""
+def _proper(terms) -> dict:
+    """The Sweedler pairs of Delta(terms) whose right slot is not the unit."""
     out: dict = {}
-    for m, c in s.terms.items():
+    for m, c in terms.items():
         _accumulate(out, hopf.coproduct_monomial(m).items(), c)
     return {k: c for k, c in out.items() if c and k[1] is not None}
 
 
-def _add_p(out: dict, proper_u: dict, proper_v: dict, z: Series, n: int, scale) -> dict:
+def _add_p(out: dict, proper_u: dict, proper_v: dict, z, n: int, scale) -> dict:
     """Add scale * p(U, V, z) at truncation n into ``out`` and return it, from
-    the proper coproducts of U and V.  An associator with a unit slot vanishes,
-    so only pairs (a, b) of Delta(U) and (c, d) of Delta(V) contribute, through
-    (w, bd) = (ac, bd), each with every term t of z: w \\ ((bd)t) - w \\ (b(dt))."""
+    the proper coproducts of U and V and the terms of z.  An associator with a
+    unit slot vanishes, so only pairs (a, b) of Delta(U) and (c, d) of Delta(V)
+    contribute, through (w, bd) = (ac, bd), each with every term t of z:
+    w \\ ((bd)t) - w \\ (b(dt))."""
     pairs = _product(proper_u, proper_v, n - 1, hopf._tensor_join, hopf._key_degree)
     for (w, bd), c in pairs.items():
         room = n - hopf._key_degree((w, bd))
-        for t, ct in z.terms.items():
+        for t, ct in z.items():
             if t.degree <= room:
                 k = scale * c * ct
                 _accumulate(out, hopf.left_divide_monomial(w, node(bd, t)).items(), k)
@@ -57,40 +59,48 @@ def _add_p(out: dict, proper_u: dict, proper_v: dict, z: Series, n: int, scale) 
     return out
 
 
-def p_series(u: Series, v: Series, z: Series) -> Series:
-    """The primitive p-operation on series arguments."""
-    n = min(u.truncation, v.truncation, z.truncation)
-    return Series(n, _add_p({}, _proper(u), _proper(v), z, n, 1))
-
-
-def su_bracket_series(u: Series, y: Series, z: Series) -> Series:
-    """<u; y, z> for a series prefix u, including the unit-part convention.
-
-    The counit part of u contributes eps(u) * (-[y,z]); p ignores it, so
-    the whole of u goes through the p-operation.
-    """
-    n = min(u.truncation, y.truncation, z.truncation)
-    proper_u = _proper(u)
-    terms = _add_p({}, proper_u, _proper(z), y, n, 1)
-    out = Series(n, _add_p(terms, proper_u, _proper(y), z, n, -1))
-    if u.constant:
-        out = out + u.constant * (z * y - y * z)
+def _add_bracket(out: dict, u, unit, y, z, n: int, scale=1) -> dict:
+    """Add scale * <u + unit; y, z> = scale * (p(u, z, y) - p(u, y, z) + unit * [z, y])
+    at truncation n into ``out`` and return it, for the term maps u, y, z and
+    the prefix's counit part ``unit``.  The only code that computes a bracket
+    or a commutator: [a, b] is <1; b, a>.  Zeros are left for the caller."""
+    if u:  # a commutator has no proper coproducts to take
+        proper_u = _proper(u)
+        _add_p(out, proper_u, _proper(z), y, n, scale)
+        _add_p(out, proper_u, _proper(y), z, n, -scale)
+    if unit:
+        _accumulate(out, _product(z, y, n, node).items(), scale * unit)
+        _accumulate(out, _product(y, z, n, node).items(), -scale * unit)
     return out
 
 
+def p_series(u: Series, v: Series, z: Series) -> Series:
+    """The primitive p-operation on series arguments."""
+    n = min(u.truncation, v.truncation, z.truncation)
+    return Series(n, _add_p({}, _proper(u.terms), _proper(v.terms), z.terms, n, 1))
+
+
 def su_bracket(prefix, y: Series, z: Series) -> Series:
-    """<p1,...,pm; y, z>; the empty prefix is -[y,z]."""
+    """<p1,...,pm; y, z>; the empty prefix is -[y,z].  A one-series prefix u
+    is the series bracket <u; y, z>, whose counit part contributes
+    eps(u) * (-[y,z]), since p ignores it."""
     prefix = list(prefix)
-    if not prefix:
-        return z * y - y * z
-    return su_bracket_series(left_normed_product(prefix), y, z)
+    u = left_normed_product(prefix) if prefix else Series.one(min(y.truncation, z.truncation))
+    n = min(u.truncation, y.truncation, z.truncation)
+    return Series(n, _add_bracket({}, u.terms, u.constant, y.terms, z.terms, n))
+
+
+def _orderings(args) -> list:
+    """The distinct orderings of args, told apart by argument identity."""
+    return list({tuple(map(id, o)): o for o in permutations(args)}.values())
 
 
 def phi(xs, ys) -> Series:
     """Phi, the symmetrization of p over both argument lists.
 
-    xs has length m >= 1 and ys length n+1 >= 2; the prefactor is
-    1/(m!(n+1)!) against the sum over all orderings of each list.
+    xs has length m >= 1 and ys length n+1 >= 2; Phi is the mean of p over
+    all orderings of each list.  Each distinct ordering occurs equally often
+    among the m!(n+1)! of them, so the mean runs over the distinct ones only.
     """
     xs = list(xs)
     ys = list(ys)
@@ -98,16 +108,17 @@ def phi(xs, ys) -> Series:
         raise ValueError("Phi needs at least one symmetrized prefix argument")
     if len(ys) < 2:
         raise ValueError("Phi needs at least two symmetrized tail arguments")
-    total = None
-    for sx in permutations(xs):
-        xbar = left_normed_product(sx)
-        for sy in permutations(ys):
-            ybar = left_normed_product(sy[:-1])
-            term = p_series(xbar, ybar, sy[-1])
-            total = term if total is None else total + term
-    k = factorial(len(xs)) * factorial(len(ys))  # an integral quotient stays an int for later sums
-    terms = {m: c // k if c % k == 0 else Fraction(c, k) for m, c in total.terms.items()}
-    return Series(total.truncation, terms)
+    xorders, yorders = _orderings(xs), _orderings(ys)
+    n = min(s.truncation for s in xs + ys)
+    total: dict = {}
+    for sx in xorders:
+        proper_x = _proper(left_normed_product(sx).terms)
+        for sy in yorders:
+            proper_y = _proper(left_normed_product(sy[:-1]).terms)
+            _add_p(total, proper_x, proper_y, sy[-1].terms, n, 1)
+    k = len(xorders) * len(yorders)  # an integral quotient stays an int for later sums
+    terms = {m: c // k if c % k == 0 else Fraction(c, k) for m, c in total.items()}
+    return Series(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +209,6 @@ def su_bracket_expr(prefix, y: PrimExpr, z: PrimExpr) -> PrimExpr:
     return SUBracket(prefix, y, z)
 
 
-def phi_expr(xs, ys) -> Phi:
-    return Phi(tuple(xs), tuple(ys))
-
-
-def expr_degree(e: PrimExpr) -> int:
-    return e.degree
-
-
 @cache
 def _canon(e: PrimExpr):
     """The key e shares with every expression equal to +-e under [a,b] = -[b,a]
@@ -235,20 +238,22 @@ def eval_prim(e: PrimExpr, n: int) -> Series:
 
 @cache
 def _eval(e: PrimExpr) -> Series:
-    """e at its own degree d.  A commutator multiplies its operands' own values;
-    other operands are evaluated at d, as series operations need equal truncations."""
+    """e at its own degree d.  A bracket reads its operands' own values, the
+    commutator [a, b] as <1; b, a>; Phi, whose series operations need equal
+    truncations, gets one series at d per distinct operand."""
     d = e.degree
     if isinstance(e, Gen):
         return Series.generator(e.name, d)
+    if isinstance(e, Phi):
+        at_d = {p: eval_prim(p, d) for p in {*e.xs, *e.ys}}
+        return phi([at_d[p] for p in e.xs], [at_d[p] for p in e.ys])
     if isinstance(e, Commutator):
-        a, b = _eval(e.a).terms, _eval(e.b).terms
-        out = _product(a, b, d, node)
-        return Series(d, _accumulate(out, _product(b, a, d, node).items(), -1))
-    if isinstance(e, SUBracket):
-        return su_bracket(
-            [eval_prim(p, d) for p in e.prefix], eval_prim(e.y, d), eval_prim(e.z, d)
-        )
-    return phi([eval_prim(p, d) for p in e.xs], [eval_prim(p, d) for p in e.ys])
+        u, unit, y, z = {}, 1, e.b, e.a
+    else:
+        u, unit, y, z = _eval(e.prefix[0]).terms, 0, e.y, e.z
+        for p in e.prefix[1:]:
+            u = _product(u, _eval(p).terms, d, node)
+    return Series(d, _add_bracket({}, u, unit, _eval(y).terms, _eval(z).terms, d))
 
 
 def _render_expr(e: PrimExpr, style) -> str:
@@ -349,7 +354,7 @@ def parse_prim_expr(text: str) -> PrimExpr:
             expect(";")
             ys = expr_list({")"})
             expect(")")
-            return phi_expr(xs, ys)
+            return Phi(xs, ys)
         if len(w) == 1 and w in ("x", "y", "z"):
             return Gen(w)
         raise PrimParseError(f"unknown name {w!r}", pos - len(w))
@@ -396,7 +401,7 @@ class PrimCombo(Combination):
         acc: dict = {}
         for e, c in kept:
             weight = c.numerator * (den // c.denominator)
-            _accumulate(acc, eval_prim(e, e.degree).terms.items(), weight)
+            _accumulate(acc, _eval(e).terms.items(), weight)
         if den > 1:
             acc = {m: Fraction(v, den) for m, v in acc.items() if v}
         return Series(n, acc)

@@ -22,9 +22,9 @@ from nabch.series import (
 from nabch.suops import (
     Commutator as C,
     Gen,
+    Phi as P,
     PrimCombo,
     eval_prim,
-    phi_expr as P,
     su_bracket_expr as B,
 )
 

@@ -8,6 +8,7 @@ import pytest
 from nabch import checks, dsw, hopf
 from nabch.magma import mirror
 from nabch.series import Series
+from nabch.suops import _add_bracket
 
 LEFT = hopf.left_divide_monomial
 RIGHT = hopf.right_divide_monomial
@@ -67,17 +68,29 @@ def test_division_identities_name_the_first_failing_case(monkeypatch):
     assert row.detail == "u=(xx) v=x"
 
 
+def _doubled_bracket(out, u, unit, y, z, n, scale=1):
+    return _add_bracket(out, u, unit, y, z, n, 2 * scale)
+
+
 def test_bracket_recursion_names_the_first_failing_case(monkeypatch):
-    su_bracket_series = checks.su_bracket_series
-    monkeypatch.setattr(checks, "su_bracket_series", lambda u, y, z: 2 * su_bracket_series(u, y, z))
+    monkeypatch.setattr(checks, "_add_bracket", _doubled_bracket)
     row = _row(checks.check_suops(3), "bracket recursion identity (three letters)")
     assert not row.passed
     assert row.detail == "word=x y=x z=y"
 
 
 def test_dsw_recursion_names_the_first_failing_case(monkeypatch):
-    su_bracket_series = dsw.su_bracket_series
-    monkeypatch.setattr(dsw, "su_bracket_series", lambda u, y, z: 2 * su_bracket_series(u, y, z))
+    monkeypatch.setattr(dsw, "_add_bracket", _doubled_bracket)
     row = _row(checks.check_dsw(4), "Dynkin-Specht-Wever recursion")
     assert not row.passed
     assert row.detail == "u=x a=x (y d/dx)"
+
+
+def test_cut_formula_names_the_first_failing_monomial(monkeypatch):
+    coefficient_via_cuts = checks.coefficient_via_cuts
+    monkeypatch.setattr(
+        checks, "coefficient_via_cuts", lambda m: coefficient_via_cuts(m) + (m.degree == 2)
+    )
+    row = _row(checks.check_cuts(3), "cut formula matches series coefficients")
+    assert not row.passed
+    assert row.detail == "(xx)"

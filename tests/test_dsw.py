@@ -94,7 +94,7 @@ def test_dsw_identity_unit_case():
 
 def test_dsw_identity_spec_cases():
     assert dsw_identity_check(X, "y", DEGREE)
-    assert dsw_identity_check(parse("(xy)"), "x", y_partial_x(4), truncation=4)
+    assert dsw_identity_check(parse("(xy)"), "x", y_partial_x(4))
 
 
 # -- symbolic bracketization

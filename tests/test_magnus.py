@@ -26,7 +26,7 @@ from nabch.magnus import (
 )
 from nabch.series import Series, bernoulli, dynkin_bch, exp_l, project_associative
 from nabch.hopf import is_primitive
-from nabch.suops import Commutator, Gen, PrimCombo, expr_to_text, phi_expr, su_bracket_expr
+from nabch.suops import Commutator, Gen, Phi, PrimCombo, expr_to_text, su_bracket_expr
 
 GX, GY = Gen("x"), Gen("y")
 B = su_bracket_expr
@@ -280,7 +280,7 @@ def test_bch_ode_degree_12_component():
     want = (
         F(-1, 12) * PrimCombo.single(Commutator(GY, Commutator(GX, GY)))
         + F(1, 6) * PrimCombo.single(B([GY], GY, GX))
-        + F(-1, 2) * PrimCombo.single(phi_expr([GX], [GY, GY]))
+        + F(-1, 2) * PrimCombo.single(Phi([GX], [GY, GY]))
     )
     assert got_12 == want.evaluate(3)
 
@@ -296,7 +296,7 @@ def test_bch_ode_degree3_matches_rewriting():
         + F(-1, 3) * PrimCombo.single(B([GX], GX, GY))
         + F(-1, 12) * PrimCombo.single(Commutator(GY, Commutator(GX, GY)))
         + F(1, 6) * PrimCombo.single(B([GY], GY, GX))
-        + F(-1, 2) * PrimCombo.single(phi_expr([GX], [GY, GY]))
+        + F(-1, 2) * PrimCombo.single(Phi([GX], [GY, GY]))
     )
     assert bch_ode(3).evaluate(3) == want.evaluate(3)
 
@@ -329,7 +329,7 @@ def _bch_by_composition_sum(n):
     below degree d.  A term of y-degree k integrates to 1/k of itself.
     """
     drive = [(GY, F(1))] + [
-        (phi_expr([GX] * m, [GY] * (k + 1)), -F(1, factorial(m) * factorial(k)))
+        (Phi([GX] * m, [GY] * (k + 1)), -F(1, factorial(m) * factorial(k)))
         for k in range(1, n - 1)
         for m in range(1, n - k)
     ]

@@ -10,7 +10,7 @@ from nabch import hopf
 from nabch.hopf import _key_degree, _tensor_join, coproduct, left_divide
 from nabch.magma import leaf, node
 from nabch.series import Series, _product, exp_l
-from nabch.suops import associator, p_series, su_bracket_series
+from nabch.suops import associator, p_series, su_bracket
 
 
 def monomials(max_degree=4):
@@ -150,7 +150,7 @@ def test_p_series_matches_the_series_level_definition(u, v, z):
     series_with_constant(TRUNCATION),
 )
 def test_su_bracket_series_matches_the_series_level_definition(u, y, z):
-    assert su_bracket_series(u, y, z) == bracket_oracle(u, y, z)
+    assert su_bracket([u], y, z) == bracket_oracle(u, y, z)
 
 
 def test_p_series_matches_the_definition_on_a_grouplike_prefix():

@@ -21,15 +21,14 @@ from nabch.suops import (
     GX,
     GY,
     Commutator,
+    Phi,
     PrimCombo,
     _canon,
     associator,
     eval_prim,
     p_series,
-    phi_expr,
     su_bracket,
     su_bracket_expr,
-    su_bracket_series,
 )
 
 
@@ -141,7 +140,7 @@ def test_p_series_is_the_sweedler_sum(u, v, z):
 @given(unital_series(), series(), series())
 def test_bracket_is_the_p_difference_plus_the_unit_part(u, y, z):
     want = p_series(u, z, y) - p_series(u, y, z) + u.constant * (z * y - y * z)
-    assert su_bracket_series(u, y, z) == want
+    assert su_bracket([u], y, z) == want
 
 
 @settings(max_examples=10, deadline=None)
@@ -162,7 +161,7 @@ EXPRS = (
     Commutator(GY, GX),
     su_bracket_expr([GX], GX, GY),
     su_bracket_expr([GY], GY, GX),
-    phi_expr([GX], [GY, GY]),
+    Phi([GX], [GY, GY]),
 )
 
 

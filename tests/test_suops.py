@@ -18,16 +18,13 @@ from nabch.suops import (
     _canon,
     associator,
     eval_prim,
-    expr_degree,
     expr_to_latex,
     expr_to_text,
     p_series,
     parse_prim_expr,
     phi,
-    phi_expr,
     su_bracket,
     su_bracket_expr,
-    su_bracket_series,
 )
 
 GX, GY = Gen("x"), Gen("y")
@@ -113,7 +110,7 @@ def test_bracket_series_prefix_counit_part():
     n = 3
     x, y = gens(n, "x", "y")
     u = Series.one(n) * 2 + x
-    got = su_bracket_series(u, x, y)
+    got = su_bracket([u], x, y)
     want = 2 * (y * x - x * y) + su_bracket([x], x, y)
     assert got == want
 
@@ -135,7 +132,7 @@ def test_bracket_recursion_identity_three_letters():
                     rhs = Series.zero(n)
                     for (a, b), mult in coproduct_monomial(ubar).items():
                         sb = Series.one(n) if b is None else Series.monomial(b, n)
-                        br = su_bracket_series(sb, ys, zs)
+                        br = su_bracket([sb], ys, zs)
                         rhs = rhs + mult * (br if a is None else Series.monomial(a, n) * br)
                     assert lhs == -1 * rhs
 
@@ -150,7 +147,7 @@ def test_phi_validates_arity():
     with pytest.raises(ValueError):
         phi([x], [y])
     with pytest.raises(ValueError):
-        phi_expr((), (GY, GY))
+        Phi((), (GY, GY))
 
 
 def test_phi_multisymmetry():
@@ -167,6 +164,34 @@ def test_phi_on_equal_generators_is_p():
     x, y = gens(n, "x", "y")
     assert phi([x], [y, y]) == p_series(x, y, y)
     assert phi([x, x], [y, y]) == p_series(x * x, y, y)
+
+
+def _phi_by_definition(xs, ys):
+    """The mean of p(xbar, ybar, z) over all orderings of each argument list."""
+    total = Series.zero(xs[0].truncation)
+    for sx in itertools.permutations(xs):
+        for sy in itertools.permutations(ys):
+            total += p_series(left_normed_product(sx), left_normed_product(sy[:-1]), sy[-1])
+    return total / (factorial(len(xs)) * factorial(len(ys)))
+
+
+def test_phi_with_repeated_arguments_is_the_mean_over_all_orderings():
+    n = 5
+    x, y = gens(n, "x", "y")
+    w = x + Q(1, 2) * (y * x)
+    for copy_of in (lambda s: s, lambda s: Series(s.truncation, s.terms, s.constant)):
+        for xs, ys in (([w, w], [y, y, x]), ([x], [y, w, y]), ([x, x], [y, y, y])):
+            xs, ys = [copy_of(s) for s in xs], [copy_of(s) for s in ys]
+            want = _phi_by_definition(xs, ys)
+            assert not want.is_zero()
+            assert phi(xs, ys) == want
+
+
+def test_eval_phi_with_repeated_generators_is_the_mean_over_all_orderings():
+    x, y = gens(5, "x", "y")
+    want = _phi_by_definition([x, x], [y, y, y])
+    assert not want.is_zero()
+    assert eval_prim(Phi((GX, GX), (GY, GY, GY)), 5) == want
 
 
 def test_phi_grouplike_expansion():
@@ -233,12 +258,12 @@ def test_every_generator_expr_is_primitive():
         su_bracket_expr([GX], GX, GY),
         su_bracket_expr([GX, GY], GX, GY),
         su_bracket_expr([GX], Commutator(GX, GY), GY),
-        phi_expr([GX], [GY, GY]),
-        phi_expr([GX, GX], [GY, GY]),
-        phi_expr([GX], [GY, GY, GY]),
+        Phi([GX], [GY, GY]),
+        Phi([GX, GX], [GY, GY]),
+        Phi([GX], [GY, GY, GY]),
     ]
     for e in exprs:
-        assert expr_degree(e) <= n
+        assert e.degree <= n
         assert is_primitive(eval_prim(e, n)), expr_to_text(e)
 
 
@@ -248,9 +273,9 @@ def test_expr_text_round_trip():
         Commutator(GX, GY),
         su_bracket_expr([GX], GX, GY),
         su_bracket_expr([GX, GX], GX, Commutator(GY, GX)),
-        phi_expr([GX], [GY, GY, GY]),
-        phi_expr([GX, GY], [GY, Commutator(GX, GY)]),
-        su_bracket_expr([phi_expr([GX], [GY, GY])], GX, GY),
+        Phi([GX], [GY, GY, GY]),
+        Phi([GX, GY], [GY, Commutator(GX, GY)]),
+        su_bracket_expr([Phi([GX], [GY, GY])], GX, GY),
     ]
     for e in exprs:
         assert parse_prim_expr(expr_to_text(e)) == e
@@ -288,7 +313,7 @@ def test_parser_rejects_malformed():
 
 def test_latex_renderings():
     assert expr_to_latex(su_bracket_expr([GX], GX, GY)) == "\\langle x;x,y\\rangle"
-    assert expr_to_latex(phi_expr([GX], [GY, GY])) == "\\Phi(x;y,y)"
+    assert expr_to_latex(Phi([GX], [GY, GY])) == "\\Phi(x;y,y)"
     assert expr_to_latex(Commutator(GX, GY)) == "[x,y]"
 
 
@@ -308,7 +333,7 @@ def test_prim_combo_eval_matches_termwise():
         Commutator(GX, GY),
         su_bracket_expr([GX], GX, GY),
         su_bracket_expr([GX, GY], GY, Commutator(GX, GY)),
-        phi_expr([GX, GY], [GY, GY]),
+        Phi([GX, GY], [GY, GY]),
     )
     combo = PrimCombo(dict(zip(exprs, (3, F(-2, 3), -1, F(-5, 4), F(-7, 6)))))
     # below n = 5 some terms lie above n and drop out
