@@ -6,13 +6,13 @@ against each other and against the classical Dynkin series after forgetting
 parentheses.
 """
 
-from nabch import bch_monomial, bch_ode, dynkin_bch, format_series, project_associative
+from nabch import bch_monomial, bch_ode, dynkin_bch, project_associative
 
 N = 4
 
 print(f"== monomial basis, degree <= {N}")
 series = bch_monomial(N)
-print(format_series(series))
+print(series.to_text())
 
 print(f"\n== primitive-operation basis (ODE route), degree <= {N}")
 combo = bch_ode(N)

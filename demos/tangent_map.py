@@ -26,7 +26,7 @@ for n, tau in enumerate(tau_components(3)):
 
 print("\nsame thing from the derivation route, gamma_{y d/dx}(exp_l(x)):")
 n = 3
-lhs = gamma(y_partial_x(n + 1), exp_l("x", n + 1))
+lhs = gamma(y_partial_x, exp_l("x", n + 1))
 rhs = sum((t.evaluate(n + 1) for t in tau_components(n)), Series.zero(n + 1))
 print("  match:", lhs == rhs)
 

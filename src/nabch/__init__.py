@@ -13,14 +13,12 @@ from .magma import (
     Monomial,
     ParseError,
     compare,
-    degree,
     enumerate_monomials,
     format_monomial,
     leaf,
     left_normed_power,
     monomial_from_json,
     monomial_to_json,
-    multidegree,
     node,
     parse,
 )
@@ -33,7 +31,6 @@ from .series import (
     dynkin_bch,
     exp_l,
     exp_r,
-    format_series,
     log_l,
     log_l_series,
     project_associative,
@@ -71,8 +68,6 @@ from .suops import (
 )
 from .dsw import (
     DEGREE,
-    DegreeDerivation,
-    SubstitutionDerivation,
     apply,
     bracketize_word,
     dsw_identity_check,

@@ -23,7 +23,6 @@ from .series import (
     bernoulli,
     exp_l,
     exp_r,
-    format_series,
     log_l,
     log_l_series,
     series_json_text,
@@ -157,7 +156,7 @@ def cmd_expand(args) -> int:
     def as_text() -> str:
         lines = []
         if series is not None:
-            lines.append(format_series(series, "latex" if args.format == "latex" else "compact"))
+            lines.append(series.to_text(latex=args.format == "latex"))
         if combo is not None:
             lines.extend(_combo_by_degree(combo, args.format))
         if agree is not None:
@@ -204,10 +203,9 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_check(args) -> int:
-    degree = args.degree if args.degree is not None else 4
-    _check_degree(degree, args.max_degree)
-    results = checks.run_suite(args.suite, degree)
-    params = {"suite": args.suite, "degree": degree}
+    _check_degree(args.degree, args.max_degree)
+    results = checks.run_suite(args.suite, args.degree)
+    params = {"suite": args.suite, "degree": args.degree}
     payload = [
         {"name": r.name, "passed": r.passed, **({"detail": r.detail} if r.detail else {})}
         for r in results
@@ -310,7 +308,7 @@ def cmd_log(args) -> int:
         "log",
         params,
         lambda: series_json_text(series),
-        lambda: format_series(series, "latex" if args.format == "latex" else "compact"),
+        lambda: series.to_text(latex=args.format == "latex"),
     )
     return 0
 
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run an identity suite")
     p.add_argument("--suite", choices=("hopf", "suops", "dsw", "magnus", "cuts", "all"), default="all")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=int, default=4)
     common(p)
     p.set_defaults(func=cmd_check)
 

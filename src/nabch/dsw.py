@@ -10,81 +10,59 @@ left-normed generator words into exact combinations of primitive
 operations (:func:`bracketize_word`); applied to the substitution
 derivation y d/dx it produces the tangent map of the left-normed
 exponential.
+
+A derivation is its action on monomials: a function from a monomial to the
+term map of its image (:func:`DEGREE`, :func:`y_partial_x`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
 from . import hopf
-from .magma import Monomial, is_left_normed_word, leaf, node, word_letters
+from .magma import Y, Monomial, is_left_normed_word, leaf, node, word_letters
 from .series import Series, _accumulate, _normalise
 from .suops import Gen, PrimCombo, _add_bracket, su_bracket_expr
 
 
-@dataclass(frozen=True)
-class DegreeDerivation:
-    """d(u) = |u| u on homogeneous u."""
-
-
-@dataclass(frozen=True, eq=False)
-class SubstitutionDerivation:
-    """The derivation sending one generator to a fixed primitive series."""
-
-    target: str
-    value: Series
-
-
-Derivation = DegreeDerivation | SubstitutionDerivation
-
-DEGREE = DegreeDerivation()
+def DEGREE(m: Monomial) -> dict:
+    """The degree derivation on a monomial: d(u) = |u| u."""
+    return {m: m.degree}
 
 
 @cache
-def y_partial_x(truncation: int) -> SubstitutionDerivation:
-    """y d/dx at the given truncation: x -> y, y -> 0."""
-    return SubstitutionDerivation("x", Series.generator("y", truncation))
-
-
-def _apply_monomial(d: Derivation, m: Monomial) -> dict:
-    if isinstance(d, DegreeDerivation):
-        return {m: m.degree}
-    return _sub_apply(d, m)
-
-
-@cache
-def _sub_apply(d: SubstitutionDerivation, m: Monomial) -> MappingProxyType:
+def y_partial_x(m: Monomial) -> MappingProxyType:
+    """y d/dx on a monomial: the Leibniz extension of x -> y, y -> 0."""
     if m.is_leaf:
-        return d.value.terms if m.var == d.target else _normalise(())
+        return _normalise({Y: 1} if m.var == "x" else ())
     return _normalise(
-        [(node(t, m.right), c) for t, c in _sub_apply(d, m.left).items()]
-        + [(node(m.left, t), c) for t, c in _sub_apply(d, m.right).items()]
+        [(node(t, m.right), c) for t, c in y_partial_x(m.left).items()]
+        + [(node(m.left, t), c) for t, c in y_partial_x(m.right).items()]
     )
 
 
-def apply(d: Derivation, s: Series) -> Series:
+def apply(d, s: Series) -> Series:
     """Leibniz extension of d to a series; constants map to zero."""
     out: dict = {}
     for m, c in s.terms.items():
-        _accumulate(out, _apply_monomial(d, m).items(), c)
+        _accumulate(out, d(m).items(), c)
     return Series(s.truncation, out)
 
 
 @cache
-def _gamma_monomial(d: Derivation, u: Monomial) -> MappingProxyType:
+def _gamma_monomial(d, u: Monomial) -> MappingProxyType:
     """gamma_d(u) = sum u_(1) \\ d(u_(2)) as an exact coefficient map."""
     out: dict = {}
     for (a, b), mult in hopf.coproduct_monomial(u).items():
         if b is None:
             continue  # d(1) = 0
-        for t, c in _apply_monomial(d, b).items():
+        for t, c in d(b).items():
             _accumulate(out, hopf.left_divide_monomial(a, t).items(), mult * c)
     return _normalise(out)
 
 
-def gamma(d: Derivation, s: Series) -> Series:
+def gamma(d, s: Series) -> Series:
     """Linear extension of gamma_d; gamma_d(1) = 0."""
     out: dict = {}
     for m, c in s.terms.items():
@@ -92,7 +70,7 @@ def gamma(d: Derivation, s: Series) -> Series:
     return Series(s.truncation, out)
 
 
-def dsw_identity_check(u, a: str, d: Derivation) -> bool:
+def dsw_identity_check(u, a: str, d) -> bool:
     """Evaluate both sides of the bracket recursion exactly, at truncation
     deg(u) + 1 (at least 2); u may be None (the unit)."""
     ga = leaf(a)

@@ -106,15 +106,6 @@ Y = leaf("y")
 Z = leaf("z")
 
 
-def degree(m: Monomial) -> int:
-    return m.degree
-
-
-def multidegree(m: Monomial) -> tuple[int, int]:
-    """(number of x leaves, number of y leaves)."""
-    return (m.xdeg, m.ydeg)
-
-
 def compare(a: Monomial, b: Monomial) -> int:
     """-1, 0 or 1 per the canonical order."""
     if a.key < b.key:

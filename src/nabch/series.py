@@ -328,20 +328,17 @@ def left_normed_product(factors) -> Series:
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and the tree-indexed logarithm coefficients.
 
-_BERNOULLI: list[Q] = [Q(1)]
-
-
+@cache
 def bernoulli(n: int) -> Q:
-    """B_n in the B_1 = -1/2 convention."""
+    """B_n in the B_1 = -1/2 convention.
+
+    The recurrence reads B_0..B_{n-1} in ascending order, so a cold call
+    fills the memo from below and recurses one level deep."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while len(_BERNOULLI) <= n:
-        k = len(_BERNOULLI)
-        acc = Q(0)
-        for i, b in enumerate(_BERNOULLI):
-            acc += comb(k + 1, i) * b
-        _BERNOULLI.append(-acc / (k + 1))
-    return _BERNOULLI[n]
+    if n == 0:
+        return Q(1)
+    return -sum((comb(n + 1, k) * bernoulli(k) for k in range(n)), Q(0)) / (n + 1)
 
 
 def _one_variable(m: Monomial) -> None:
@@ -578,10 +575,6 @@ def _coeff_str(c: Q, latex: bool) -> str:
     if latex and c.denominator != 1:
         return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
     return str(c)
-
-
-def format_series(s: Series, style: str = "compact") -> str:
-    return s.to_text(style == "latex")
 
 
 def series_json_text(s: Series) -> str:

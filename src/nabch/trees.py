@@ -3,8 +3,9 @@
 Three constructions share one skeleton: each level-k node of a binary tree
 carries a self-contained label, children are produced by two label rewrites,
 and summing a weight over the 2^(k-1) level-k nodes recovers B_k/k!
-(Woon's tree, Fuchs's PI tree) or n_J (the word-splitting tree).  Levels
-are generated directly from labels; no ancestor links are kept.
+(Woon's tree, Fuchs's PI tree) or n_J (the word-splitting tree).  One
+builder, :func:`_level`, generates a level directly from the labels of the
+one above; no ancestor links are kept.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from .magnus import Composition, m_coeff
 from .series import Q
 
 
-def _levels(root, children):
+def _level(root, children, k: int) -> list:
+    """Level k of the tree whose level 1 is the root."""
     level = [root]
-    while True:
-        yield level
+    for _ in range(k - 1):
         level = [child for label in level for child in children(label)]
+    return level
 
 
 def _woon_children(label):
@@ -37,12 +39,8 @@ def woon_level_sum(k: int) -> Q:
     """
     if k < 2:
         raise ValueError("the Woon level identity starts at k = 2")
-    gen = _levels((1, 2), _woon_children)
-    for _ in range(k - 1):
-        next(gen)
-    level = next(gen)
     total = Q(0)
-    for label in level:
+    for label in _level((1, 2), _woon_children, k):
         nf = label[0]
         for a in label[1:]:
             nf *= factorial(a)
@@ -59,10 +57,7 @@ def pi_level(k: int) -> list[tuple[int, ...]]:
     """Level k of the general PI tree with root (1)."""
     if k < 1:
         raise ValueError("levels start at 1")
-    gen = _levels((1,), _pi_children)
-    for _ in range(k - 1):
-        next(gen)
-    return next(gen)
+    return _level((1,), _pi_children, k)
 
 
 def fuchs_level_sum(k: int, c: Callable[[int], Q]) -> Q:
@@ -84,22 +79,19 @@ def bernoulli_weights(n: int) -> Q:
     return Q(-1, factorial(n + 1))
 
 
+def _word_children(blocks):
+    # blocks hold 0-based positions into J; the next letter follows the last
+    i = blocks[-1][-1] + 1
+    return (blocks + ((i,),), blocks[:-1] + (blocks[-1] + (i,),))
+
+
 def nj_tree_sum(j: Composition) -> Q:
     """n_J via the word tree: level-i children either start a new block with
     the letter x_i or concatenate it onto the last block; a node's value is
     the product of -m over its blocks, read as sub-compositions of J."""
     j = tuple(j)
-    size = len(j)
-    # blocks hold 0-based positions into j
-    level: list[tuple[tuple[int, ...], ...]] = [((0,),)]
-    for i in range(1, size):
-        nxt = []
-        for blocks in level:
-            nxt.append(blocks + ((i,),))
-            nxt.append(blocks[:-1] + (blocks[-1] + (i,),))
-        level = nxt
     total = Q(0)
-    for blocks in level:
+    for blocks in _level(((0,),), _word_children, len(j)):
         term = Q(1)
         for block in blocks:
             term *= -m_coeff(tuple(j[p] for p in block))

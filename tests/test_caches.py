@@ -3,6 +3,9 @@ found, inspected with cache_info() and emptied with cache_clear()."""
 
 import importlib
 import pkgutil
+import sys
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,7 +14,7 @@ from nabch.checks import run_suite
 from nabch.cuts import bch_series, coefficient_via_cuts
 from nabch.magma import enumerate_monomials, parse
 from nabch.magnus import bch_monomial, bch_ode
-from nabch.series import tau_factorial
+from nabch.series import bernoulli, tau_factorial
 
 
 def _modules():
@@ -60,14 +63,36 @@ def test_errors_are_not_memoised():
 
 
 def test_the_only_growing_module_dicts_are_the_intern_pools():
-    dicts = {
+    # a module-level dict, list or set is a memo that cache_clear() cannot reach
+    containers = {
         f"{mod.__name__}.{name}"
         for mod in _modules()
         for name, obj in vars(mod).items()
-        if isinstance(obj, dict) and not name.startswith("__")
+        if isinstance(obj, (dict, list, set)) and not name.startswith("__")
     }
     # SUITES is the fixed table of check suites, filled once at import
-    assert dicts == {"nabch.magma._POOL", "nabch.suops._EXPR_POOL", "nabch.checks.SUITES"}
+    assert containers == {"nabch.magma._POOL", "nabch.suops._EXPR_POOL", "nabch.checks.SUITES"}
+
+
+def test_a_cold_bernoulli_call_recurses_a_bounded_depth():
+    def depth():
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    # the recurrence written out iteratively, as an independent oracle
+    want = [Fraction(1)]
+    for n in range(1, 301):
+        want.append(-sum(comb(n + 1, k) * want[k] for k in range(n)) / (n + 1))
+    bernoulli.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth() + 30)
+    try:
+        bernoulli(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [bernoulli(n) for n in range(301)] == want
 
 
 def test_enumeration_memo_keys_on_the_normalised_alphabet():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,14 @@ from nabch.dsw import (
     gamma,
     y_partial_x,
 )
-from nabch.magma import enumerate_monomials, is_left_normed_word, leaf, node, parse
+from nabch.magma import (
+    enumerate_monomials,
+    format_monomial,
+    is_left_normed_word,
+    leaf,
+    node,
+    parse,
+)
 from nabch.magnus import tau_exp_l
 from nabch.series import Series, exp_l
 from nabch.suops import Commutator, Gen, PrimCombo, associator, su_bracket_expr
@@ -24,16 +32,26 @@ GX, GY = Gen("x"), Gen("y")
 
 
 def test_y_partial_x_on_generators():
-    d = y_partial_x(3)
-    assert apply(d, Series.generator("x", 3)) == Series.generator("y", 3)
-    assert apply(d, Series.generator("y", 3)).is_zero()
+    assert apply(y_partial_x, Series.generator("x", 3)) == Series.generator("y", 3)
+    assert apply(y_partial_x, Series.generator("y", 3)).is_zero()
 
 
 def test_substitution_leibniz():
-    d = y_partial_x(3)
-    got = apply(d, Series.monomial(parse("(xx)"), 3))
+    got = apply(y_partial_x, Series.monomial(parse("(xx)"), 3))
     want = Series(3, {parse("(yx)"): F(1), parse("(xy)"): F(1)})
     assert got == want
+
+
+@pytest.mark.parametrize("deg", range(1, 6))
+def test_y_partial_x_replaces_one_x_leaf_at_a_time(deg):
+    # an independent oracle: walk the printed monomial, turn each x into a y
+    # in turn and parse the result back
+    for m in enumerate_monomials(deg):
+        text = format_monomial(m)
+        want = Counter(
+            parse(text[:i] + "y" + text[i + 1 :]) for i, ch in enumerate(text) if ch == "x"
+        )
+        assert dict(y_partial_x(m)) == dict(want), text
 
 
 def test_degree_derivation():
@@ -48,7 +66,7 @@ def test_derivation_preserves_primitives():
 
     p = bch_monomial(4)
     assert is_primitive(apply(DEGREE, p))
-    assert is_primitive(apply(y_partial_x(4), p))
+    assert is_primitive(apply(y_partial_x, p))
 
 
 # -- gamma
@@ -73,7 +91,7 @@ def test_gamma_on_homogeneous_primitive_scales_by_degree():
 
 def test_gamma_ydx_of_exp_is_tangent_map():
     for n in range(1, 6):
-        assert gamma(y_partial_x(n + 1), exp_l("x", n + 1)) == tau_exp_l(n)
+        assert gamma(y_partial_x, exp_l("x", n + 1)) == tau_exp_l(n)
 
 
 # -- the lemma
@@ -84,17 +102,17 @@ def test_dsw_identity_exhaustive(du):
     for u in enumerate_monomials(du):
         for a in ("x", "y"):
             assert dsw_identity_check(u, a, DEGREE)
-            assert dsw_identity_check(u, a, y_partial_x(du + 1))
+            assert dsw_identity_check(u, a, y_partial_x)
 
 
 def test_dsw_identity_unit_case():
     assert dsw_identity_check(None, "x", DEGREE)
-    assert dsw_identity_check(None, "y", y_partial_x(2))
+    assert dsw_identity_check(None, "y", y_partial_x)
 
 
 def test_dsw_identity_spec_cases():
     assert dsw_identity_check(X, "y", DEGREE)
-    assert dsw_identity_check(parse("(xy)"), "x", y_partial_x(4))
+    assert dsw_identity_check(parse("(xy)"), "x", y_partial_x)
 
 
 # -- symbolic bracketization
@@ -163,7 +181,7 @@ def test_d_recomposition_from_gamma():
 
     for deg in range(1, 6):
         for m in enumerate_monomials(deg):
-            for d in (DEGREE, y_partial_x(deg)):
+            for d in (DEGREE, y_partial_x):
                 want = apply(d, Series.monomial(m, deg))
                 acc = Series.zero(deg)
                 for (p, q), mult in coproduct_monomial(m).items():

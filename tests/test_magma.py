@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from nabch.magma import (
     ParseError,
     compare,
-    degree,
     enumerate_monomials,
     format_monomial,
     leaf,
@@ -12,7 +11,6 @@ from nabch.magma import (
     mirror,
     monomial_from_json,
     monomial_to_json,
-    multidegree,
     node,
     parse,
 )
@@ -93,10 +91,11 @@ def test_left_normed_power():
 
 def test_degree_and_multidegree():
     m = parse("((xx)y)")
-    assert degree(m) == 3
-    assert multidegree(m) == (2, 1)
-    assert multidegree(X) == (1, 0)
-    assert multidegree(parse("((xy)(xy))")) == (2, 2)
+    assert m.degree == 3
+    assert (m.xdeg, m.ydeg) == (2, 1)
+    assert (X.xdeg, X.ydeg) == (1, 0)
+    m = parse("((xy)(xy))")
+    assert (m.xdeg, m.ydeg) == (2, 2)
 
 
 def test_degree_is_additive():

@@ -156,7 +156,7 @@ def test_tau_components_match_m_weighted_brackets():
 
 def test_tau_equals_gamma_of_exp():
     for n in range(1, 7):
-        assert tau_exp_l(n) == gamma(y_partial_x(n + 1), exp_l("x", n + 1))
+        assert tau_exp_l(n) == gamma(y_partial_x, exp_l("x", n + 1))
 
 
 def test_tau_inverse_golden_degree2():

@@ -303,7 +303,7 @@ def test_series_json_accepts_integer_coefficients():
 
 
 def test_cached_values_are_read_only():
-    from nabch.dsw import DEGREE, _gamma_monomial, _sub_apply, y_partial_x
+    from nabch.dsw import DEGREE, _gamma_monomial, y_partial_x
     from nabch.hopf import coproduct, coproduct_monomial, left_divide_monomial
     from nabch.magnus import bch_ode, tau_components
     from nabch.suops import GX, GY, eval_prim, su_bracket_expr
@@ -317,18 +317,17 @@ def test_cached_values_are_read_only():
         tau_components(2)[2],
     ]
     # the hopf monomial caches hand out their mappings themselves
-    yx = y_partial_x(3)
     mappings = [value.terms for value in cached] + [
         coproduct_monomial(X),
         left_divide_monomial(parse("(xy)"), X),
-        _sub_apply(yx, parse("(xy)")),
+        y_partial_x(parse("(xy)")),
         _gamma_monomial(DEGREE, parse("(xy)")),
-        _gamma_monomial(yx, parse("(xx)")),
+        _gamma_monomial(y_partial_x, parse("(xx)")),
     ]
     # y d/dx sends the leaf y to nothing, and that empty map is cached too
     with pytest.raises(TypeError):
-        _sub_apply(yx, Y)[X] = F(7)
-    assert not _sub_apply(yx, Y)
+        y_partial_x(Y)[X] = F(7)
+    assert not y_partial_x(Y)
     for terms in mappings:
         key = next(iter(terms))
         before = dict(terms)

@@ -6,7 +6,7 @@ import pytest
 from nabch.magnus import compositions, n_coeff
 from nabch.series import bernoulli
 from nabch.trees import (
-    _levels,
+    _level,
     _woon_children,
     bernoulli_weights,
     fuchs_level_sum,
@@ -25,10 +25,8 @@ def bk_over_kfact(k):
 
 def test_woon_root_and_children():
     assert _woon_children((1, 2)) == ((-1, 3), (1, 2, 2))
-    gen = _levels((1, 2), _woon_children)
-    next(gen)
-    assert next(gen) == [(-1, 3), (1, 2, 2)]
-    assert next(gen) == [(1, 4), (-1, 2, 3), (-1, 3, 2), (1, 2, 2, 2)]
+    assert _level((1, 2), _woon_children, 2) == [(-1, 3), (1, 2, 2)]
+    assert _level((1, 2), _woon_children, 3) == [(1, 4), (-1, 2, 3), (-1, 3, 2), (1, 2, 2, 2)]
 
 
 def test_woon_level2():
@@ -84,10 +82,7 @@ def test_fuchs_other_sequence():
 @pytest.mark.parametrize("k", range(1, 15))
 def test_level_sizes(k):
     assert len(pi_level(k)) == 2 ** (k - 1)
-    gen = _levels((1, 2), _woon_children)
-    for _ in range(k - 1):
-        next(gen)
-    assert len(next(gen)) == 2 ** (k - 1)
+    assert len(_level((1, 2), _woon_children, k)) == 2 ** (k - 1)
 
 
 # -- the n_J tree
