@@ -32,11 +32,12 @@ from .suops import PrimCombo
 SCHEMA_VERSION = "1"
 DEFAULT_DEGREE = 5
 # expand --basis monomial builds its series by the cut recurrence
-# (cuts.bch_series): on one core of a shared 2-core machine (Python 3.11) the
-# command took about 1 s at degree 8 (59 MB peak as text, 78 MB as JSON) and
-# 10 s at 269 MB peak at 9 (8.5 s at 400 MB as JSON).  The cap
-# stays 8, because log --series product and coeff --method series|both still
-# run route 1 (log_l substitution), about 3.5 s at degree 8, at this cap.
+# (cuts.bch_series), and log --series product and coeff --method series|both
+# by route 1 (log_l substitution), both on int numerators over one
+# denominator.  Whole process, on one core of a shared 2-core machine
+# (Python 3.11.7), expand took about 0.8 s at degree 8 (55 MB peak as text,
+# 77 MB as JSON) and 5-6 s at 9 (268 MB as text, 367 MB as JSON); route 1
+# took about 1.8 s at 89 MB at degree 8.  The cap stays 8.
 DEFAULT_CAP = 8
 # On one core of a shared 2-core machine (Python 3.11), expand --basis
 # primitive took about 0.5 s at degree 7, 3 s at 74 MB peak at 8 and 23 s at

@@ -32,17 +32,31 @@ with R_k = ((z F) F ...) F, k right factors.  :func:`bch_series` builds it
 degree by degree from homogeneous blocks.  R_k starts at degree k + 1, so
 the degree-d block of R_k (k >= 1) is the sum over e = 1 .. d - k of
 R_{k-1}[d - e] F[e], and F[d] = sum_{k < d} (B_k/k!) R_k[d] needs only the
-F[e] with e < d.
+F[e] with e < d.  Every block is held as int numerators over one
+denominator, so the products and sums are int arithmetic, and a Fraction is
+built only for each term of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .magma import Monomial, is_left_normed_word, leaf, left_normed_power, node
-from .series import Q, Series, _accumulate, _product, _spine, b_tau, bernoulli, exp_l, tau_factorial
+from .series import (
+    Q,
+    Series,
+    _accumulate,
+    _coefficients,
+    _numerators,
+    _product,
+    _spine,
+    b_tau,
+    bernoulli,
+    exp_l,
+    tau_factorial,
+)
 
 _SLOT = leaf("x")  # skeletons are one-variable shapes
 
@@ -186,26 +200,34 @@ def _spine_sum(w: Monomial, f) -> Q:
 @cache
 def bch_series(n: int) -> Series:
     """log_l(exp_l(x) exp_l(y)) truncated at n, as the lifted cut recurrence
-    F = sum_k (B_k/k!) ((z F) F ...) F of the module docstring.  r[k, d] is
-    the degree-d block of R_k and f[d] that of F; the blocks are dropped on
-    return."""
+    F = sum_k (B_k/k!) ((z F) F ...) F of the module docstring.
+
+    r[k, d] is the degree-d block of R_k and f[d] that of F, each held as
+    int numerators over one denominator.  The products summed into a block
+    are brought to the lcm of their denominators first, and one Fraction is
+    built per output term; the blocks are dropped on return."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    r = {}
+    z = {}
     for m, c in (exp_l("x", n) * exp_l("y", n)).terms.items():
-        r.setdefault((0, m.degree), {})[m] = c
-    f = [{}]
+        z.setdefault(m.degree, {})[m] = c
+    r = {(0, d): _numerators(block) for d, block in z.items()}
+    f = [None]
     for d in range(1, n + 1):
-        fd = dict(r[0, d])
         for k in range(1, d):
+            pairs = [(r[k - 1, d - e], f[e]) for e in range(1, d - k + 1)]
+            den = lcm(*(dp * dq for (_, dp), (_, dq) in pairs))
             block = {}
-            for e in range(1, d - k + 1):
-                _accumulate(block, _product(r[k - 1, d - e], f[e], d, node).items())
-            r[k, d] = block
-            if bernoulli(k):
-                _accumulate(fd, block.items(), bernoulli(k) / factorial(k))
-        f.append({m: c for m, c in fd.items() if c})
-    return Series(n, {m: c for part in f for m, c in part.items()})
+            for (p, dp), (q, dq) in pairs:
+                _accumulate(block, _product(p, q, d, node).items(), den // (dp * dq))
+            r[k, d] = block, den
+        parts = [(bernoulli(k) / factorial(k), r[k, d]) for k in range(d) if bernoulli(k)]
+        den = lcm(*(c.denominator * dk for c, (_, dk) in parts))
+        fd = {}
+        for c, (block, dk) in parts:
+            _accumulate(fd, block.items(), c.numerator * (den // (c.denominator * dk)))
+        f.append(({m: v for m, v in fd.items() if v}, den))
+    return Series(n, (term for block in f[1:] for term in _coefficients(*block)))
 
 
 def closed_form_xmyn(m: int, n: int) -> Q:

@@ -18,7 +18,7 @@ import json
 import warnings
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add, attrgetter, itemgetter
 from types import MappingProxyType
 
@@ -127,6 +127,24 @@ def _product(p, q, cap: int, join, degree=None) -> dict:
             prev = out.get(k)
             out[k] = ca * cb if prev is None else prev + ca * cb
     return out
+
+
+def _numerators(terms) -> tuple[dict, int]:
+    """A map of exact coefficients as (int numerators, one denominator): the
+    denominator L is the lcm of the coefficients' denominators, and a
+    coefficient c becomes the int c * L.  :func:`_coefficients` inverts it."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _coefficients(nums: dict, den: int):
+    """The (key, v / den) pairs of the int numerators v of ``nums``, zeros
+    dropped, for a combination's constructor to take without an intermediate
+    map.  Over the denominator 1 the ints are kept, as :class:`Combination`
+    keeps them; otherwise each term is one Fraction."""
+    if den == 1:
+        return ((k, v) for k, v in nums.items() if v)
+    return ((k, Q(v, den)) for k, v in nums.items() if v)
 
 
 class Combination:
@@ -396,6 +414,11 @@ def substitute(f: Series, u: Series) -> Series:
     """Replace every leaf of f's (one-variable) monomials by u, multilinearly.
 
     u must have zero constant term; f's constant passes through.
+
+    The arithmetic is on ints.  With u = U / L over one denominator, the
+    image of a monomial m is an int map over L^deg(m), and with f = F / D the
+    sum over f's terms goes over the one denominator D L^t, t the top degree
+    of f; each output term is one Fraction.
     """
     if u.constant:
         raise ValueError("substitution target must have zero constant term")
@@ -405,14 +428,20 @@ def substitute(f: Series, u: Series) -> Series:
     if len(fvars) > 1:
         raise ValueError("substitution source must be a one-variable series")
     n = _join_truncation(f.truncation, u.truncation)
+    un, den = _numerators(u.terms)
+    fn, fden = _numerators(f.terms)
+    top = max((m.degree for m in fn), default=0)
     memo: dict = {}
     out: dict = {}
-    for m, c in f.terms.items():
-        _accumulate(out, _subst(m, n, u, memo).items(), c)
-    return Series(n, out, f.constant)
+    for m, c in fn.items():
+        _accumulate(out, _subst(m, n, un, memo).items(), c * den ** (top - m.degree))
+    del memo  # free the partial products before the Fractions are built
+    return Series(n, _coefficients(out, fden * den**top), f.constant)
 
 
-def _subst(m: Monomial, budget: int, u: Series, memo: dict) -> dict:
+def _subst(m: Monomial, budget: int, u: dict, memo: dict) -> dict:
+    """The terms of degree at most ``budget`` of m with every leaf replaced
+    by the term map u."""
     # every leaf contributes at least degree 1, so a subtree's budget is the
     # total minus its siblings' leaf counts
     if budget < m.degree:
@@ -422,7 +451,7 @@ def _subst(m: Monomial, budget: int, u: Series, memo: dict) -> dict:
     if got is not None:
         return got
     if m.is_leaf:
-        out = {t: c for t, c in u.terms.items() if t.degree <= budget}
+        out = {t: c for t, c in u.items() if t.degree <= budget}
     else:
         dl = _subst(m.left, budget - m.right.degree, u, memo)
         dr = _subst(m.right, budget - m.left.degree, u, memo)

@@ -22,11 +22,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import lcm
 
 from . import hopf
 from .magma import ParseError, node
-from .series import Combination, Series, _accumulate, _product, left_normed_product
+from .series import (
+    Combination,
+    Series,
+    _accumulate,
+    _coefficients,
+    _numerators,
+    _product,
+    left_normed_product,
+)
 
 
 def associator(a: Series, b: Series, c: Series) -> Series:
@@ -396,15 +403,11 @@ class PrimCombo(Combination):
     def evaluate(self, n: int) -> Series:
         """The terms of degree at most n, summed with int weights c * L, where L is
         the coefficients' common denominator; each output term is divided by L once."""
-        kept = [(e, c) for e, c in self.terms.items() if e.degree <= n]
-        den = lcm(*(c.denominator for _, c in kept))
+        weights, den = _numerators({e: c for e, c in self.terms.items() if e.degree <= n})
         acc: dict = {}
-        for e, c in kept:
-            weight = c.numerator * (den // c.denominator)
-            _accumulate(acc, _eval(e).terms.items(), weight)
-        if den > 1:
-            acc = {m: Fraction(v, den) for m, v in acc.items() if v}
-        return Series(n, acc)
+        for e, w in weights.items():
+            _accumulate(acc, _eval(e).terms.items(), w)
+        return Series(n, _coefficients(acc, den))
 
     def to_json(self) -> list:
         return [{"coeff": str(c), "expr": expr_to_text(e)} for e, c in self.items()]

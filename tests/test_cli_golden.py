@@ -97,6 +97,9 @@ GOLDEN = [
     ("log --series product --degree 5 --format text", 0, "d3e9fda67ed4857d80993bc36b5ea73f35ecf8d18a7261ed1a81489197a53b6b"),
     ("log --series product --degree 5 --format json", 0, "6ba16c8573896ee6a74f3990c6ed8854b49b2eb97c241d3d0dfcd0e5831f2fbe"),
     ("log --series product --degree 5 --format latex", 0, "c9216d645357700c67bf3a5710fe3085d246c1ff99c53aea4ec2ccee8e5f4636"),
+    # captured while route 1 still multiplied Fractions; at the cap its denominators are largest
+    ("log --series product --degree 8 --format json", 0, "437ef6ce5b798a1b2618a4cfb47ad0a62257203cdc7dcbceff1faa6581eccb25"),
+    ("log --series exp_r --degree 7 --format text", 0, "aa48b5445a741c37abd9db46c04f81b590a8d57519baae0882307bb26621087b"),
     ("bernoulli --k 6 --method woon", 0, "e62791efeb557147a7a73515b6abcbdb1b2c9035e34c9f4241b08f15a874357a"),
     ("bernoulli --k 6 --method fuchs", 0, "e62791efeb557147a7a73515b6abcbdb1b2c9035e34c9f4241b08f15a874357a"),
     ("bernoulli --k 6 --method nj", 0, "e62791efeb557147a7a73515b6abcbdb1b2c9035e34c9f4241b08f15a874357a"),

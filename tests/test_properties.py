@@ -109,6 +109,37 @@ def test_substitute_into_single_power(u):
     assert substitute(f, u) == u
 
 
+def x_series(truncation=5, max_degree=4):
+    """A one-variable series with two or more terms and a constant."""
+    xs = st.recursive(
+        st.just(leaf("x")),
+        lambda children: st.tuples(children, children).map(lambda p: node(*p)),
+        max_leaves=max_degree,
+    )
+    terms = st.dictionaries(xs, rationals().filter(bool), min_size=2, max_size=5)
+    return st.tuples(terms, rationals()).map(lambda tc: Series(truncation, *tc))
+
+
+def _mixed(u):
+    """Whether u has coefficients of both signs over more than one denominator."""
+    cs = u.terms.values()
+    return any(c < 0 for c in cs) and any(c > 0 for c in cs) and len({c.denominator for c in cs}) > 1
+
+
+def _replace_leaves(m, u):
+    """m with every leaf replaced by u, multiplied out with Series.__mul__."""
+    return u if m.is_leaf else _replace_leaves(m.left, u) * _replace_leaves(m.right, u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(x_series(), series(truncation=5, max_degree=3).filter(_mixed))
+def test_substitute_matches_leafwise_products(f, u):
+    want = Series(f.truncation, constant=f.constant)
+    for m, c in f.terms.items():
+        want = want + c * _replace_leaves(m, u)
+    assert substitute(f, u) == want
+
+
 def unital_series(truncation=4, max_degree=3):
     """A series with a nonzero constant term."""
     nonzero = rationals().filter(bool)

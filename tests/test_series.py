@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from nabch.magma import enumerate_monomials, leaf, left_normed_power, parse
 from nabch.series import (
     Series,
+    _coefficients,
+    _numerators,
     TruncationMismatchWarning,
     b_tau,
     bernoulli,
@@ -247,6 +250,47 @@ def test_exp_log_composition_via_substitute():
     n = 5
     composed = substitute(exp_l("x", n), log_l_series(n))
     assert composed == Series.one(n) + Series.generator("x", n)
+
+
+# -- int numerators over one denominator
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {X: F(-3, 4), Y: F(5, 6), parse("(xy)"): F(-7, 10)},
+        {X: 2, Y: F(-1, 3), parse("(yx)"): -5},
+        {X: 3, Y: -4, parse("(xx)"): 1},
+        {},
+    ],
+    ids=["fractions", "mixed", "ints", "empty"],
+)
+def test_numerators_round_trip(terms):
+    nums, den = _numerators(terms)
+    assert all(type(v) is int for v in nums.values())
+    assert den == lcm(*(F(c).denominator for c in terms.values()))
+    assert all(F(v, den) == terms[k] for k, v in nums.items())
+    assert dict(_coefficients(nums, den)) == terms
+
+
+def test_numerators_share_the_lcm():
+    nums, den = _numerators({X: F(1, 4), Y: F(-1, 6)})
+    assert (nums, den) == ({X: 3, Y: -2}, 12)
+
+
+def test_coefficients_drop_cancelled_terms():
+    a, b = _numerators({X: F(1, 3), Y: F(1, 2)}), _numerators({X: F(-1, 3), Y: F(1, 2)})
+    assert a[1] == b[1] == 6
+    summed = {k: a[0][k] + b[0][k] for k in a[0]}
+    assert dict(_coefficients(summed, 6)) == {Y: 1}
+    assert dict(_coefficients({X: 0, Y: 0}, 1)) == {}
+
+
+def test_coefficients_keep_ints_over_denominator_one():
+    got = dict(_coefficients(*_numerators({X: 3, Y: -4})))
+    assert got == {X: 3, Y: -4}
+    assert all(type(c) is int for c in got.values())
+    assert all(type(c) is F for _, c in _coefficients({X: 6, Y: 1}, 2))
 
 
 # -- associative projection and Dynkin
