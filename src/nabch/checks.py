@@ -56,12 +56,7 @@ def _random_series(rng: random.Random, degree: int, truncation: int) -> Series:
 def _triple_coproduct(s: Series, left_first: bool):
     pairs = []
     for (a, b), c in hopf.coproduct(s).terms.items():
-        target = a if left_first else b
-        if target is None:
-            inner = {(None, None): 1}
-        else:
-            inner = hopf.coproduct_monomial(target)
-        for (p, q), k in inner.items():
+        for (p, q), k in hopf.coproduct_monomial(a if left_first else b).items():
             key = (p, q, b) if left_first else (a, p, q)
             pairs.append((key, c * k))
     return _normalise(pairs)
@@ -230,8 +225,7 @@ def _bracket_recursion_failure(degree: int) -> str:
                     lhs = (xb * ys) * zs - (xb * zs) * ys
                     rhs: dict = {}
                     for (a, b), mult in hopf.coproduct_monomial(xbar).items():
-                        prefix, unit = ({}, 1) if b is None else ({b: 1}, 0)
-                        br = _add_bracket({}, prefix, unit, ys.terms, zs.terms, nn, -mult)
+                        br = _add_bracket({}, {b: 1}, ys.terms, zs.terms, nn, -mult)
                         _accumulate(rhs, ((_graft(a, t), k) for t, k in br.items()))
                     if lhs != Series(nn, rhs):
                         return f"word={''.join(letters)} y={gy} z={gz}"

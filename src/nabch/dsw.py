@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 from . import hopf
 from .magma import Y, Monomial, is_left_normed_word, leaf, node, word_letters
-from .series import Series, _accumulate, _normalise
+from .series import Series, _accumulate, _extend, _normalise
 from .suops import Gen, PrimCombo, _add_bracket, su_bracket_expr
 
 
@@ -44,10 +44,7 @@ def y_partial_x(m: Monomial) -> MappingProxyType:
 
 def apply(d, s: Series) -> Series:
     """Leibniz extension of d to a series; constants map to zero."""
-    out: dict = {}
-    for m, c in s.terms.items():
-        _accumulate(out, d(m).items(), c)
-    return Series(s.truncation, out)
+    return Series(s.truncation, _extend(d, s.terms))
 
 
 @cache
@@ -64,10 +61,7 @@ def _gamma_monomial(d, u: Monomial) -> MappingProxyType:
 
 def gamma(d, s: Series) -> Series:
     """Linear extension of gamma_d; gamma_d(1) = 0."""
-    out: dict = {}
-    for m, c in s.terms.items():
-        _accumulate(out, _gamma_monomial(d, m).items(), c)
-    return Series(s.truncation, out)
+    return Series(s.truncation, _extend(lambda m: _gamma_monomial(d, m), s.terms))
 
 
 def dsw_identity_check(u, a: str, d) -> bool:
@@ -84,8 +78,7 @@ def dsw_identity_check(u, a: str, d) -> bool:
     for (p, q), mult in hopf.coproduct_monomial(u).items():
         gq = None if q is None else _gamma_monomial(d, q)  # gamma_d(1) = 0
         if gq:
-            prefix, unit = ({}, 1) if p is None else ({p: 1}, 0)
-            _add_bracket(rhs, prefix, unit, {ga: 1}, gq, n, mult)
+            _add_bracket(rhs, {p: 1}, {ga: 1}, gq, n, mult)
     return lhs == Series(n, rhs)
 
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 from functools import cache
 from types import MappingProxyType
 
-from .magma import Monomial, mirror, monomial_from_json, monomial_to_json, node
-from .series import Combination, Series, _accumulate, _join_truncation, _product
+from .magma import Monomial, mirror, node
+from .series import Combination, Series, _accumulate, _extend, _join_truncation, _product
 
+# The unit 1 is the key None in every term map, with Delta(1) = 1 (x) 1.
 # Tensor-square keys are (left, right) with None standing for the unit slot.
 TensorKey = tuple
 
@@ -76,9 +77,11 @@ class TensorSeries(Combination):
 
 
 @cache
-def coproduct_monomial(m: Monomial) -> MappingProxyType:
-    """Delta(m) as an exact integer combination of tensor pairs, read-only
-    because it is cached."""
+def coproduct_monomial(m) -> MappingProxyType:
+    """Delta(m) for m a monomial or the unit None, as an exact integer
+    combination of tensor pairs, read-only because it is cached."""
+    if m is None:
+        return MappingProxyType({(None, None): 1})
     if m.is_leaf:
         return MappingProxyType({(m, None): 1, (None, m): 1})
     cl, cr = coproduct_monomial(m.left), coproduct_monomial(m.right)
@@ -87,10 +90,7 @@ def coproduct_monomial(m: Monomial) -> MappingProxyType:
 
 def coproduct(s: Series) -> TensorSeries:
     """Delta(s), truncated on total pair degree."""
-    out: dict = {(None, None): s.constant}
-    for m, c in s.terms.items():
-        _accumulate(out, coproduct_monomial(m).items(), c)
-    return TensorSeries(s.truncation, out)
+    return TensorSeries(s.truncation, _extend(coproduct_monomial, _with_unit(s)))
 
 
 def counit(s: Series):
@@ -136,9 +136,8 @@ def _divide(p: Series, q: Series, monomial_division) -> Series:
     constants entering at the unit None: sum of c d monomial_division(m, t)
     over the terms c m of p and d t of q."""
     n = _join_truncation(p.truncation, q.truncation)
-    out: dict = {}
-    for (m, t), c in _product(_with_unit(p), _with_unit(q), n, _pair, _degree).items():
-        _accumulate(out, monomial_division(m, t).items(), c)
+    pairs = _product(_with_unit(p), _with_unit(q), n, _pair, _degree)
+    out = _extend(lambda k: monomial_division(*k), pairs)
     constant = out.pop(None, 0)  # 1 \ 1 = 1 / 1 = 1
     return Series(n, out, constant)
 
@@ -170,24 +169,3 @@ def is_grouplike(s: Series) -> bool:
     expected = _product(terms, terms, s.truncation, _pair, _degree)
     return coproduct(s) == TensorSeries(s.truncation, expected)
 
-
-def tensor_to_json(t: TensorSeries) -> dict:
-    def enc(m):
-        return "1" if m is None else monomial_to_json(m)
-
-    return {
-        "truncation": t.truncation,
-        "terms": [
-            {"monomial": [enc(a), enc(b)], "coeff": str(c)} for (a, b), c in t.items()
-        ],
-    }
-
-
-def tensor_from_json(data: dict) -> TensorSeries:
-    def dec(e):
-        return None if e == "1" else monomial_from_json(e)
-
-    return TensorSeries(
-        int(data["truncation"]),
-        {(dec(t["monomial"][0]), dec(t["monomial"][1])): t["coeff"] for t in data["terms"]},
-    )

@@ -23,7 +23,6 @@ from .series import Q, Series, _accumulate, exp_l, log_l
 from .suops import (
     GX,
     GY,
-    Gen,
     Phi,
     PrimCombo,
     PrimExpr,
@@ -226,26 +225,16 @@ def bch_monomial(n: int) -> Series:
     """log_l(exp_l(x) exp_l(y)) in the raw monomial basis, truncated at n."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return log_l(exp_l("x", n) * exp_l("y", n), n)
+    return log_l(exp_l("x", n) * exp_l("y", n))
 
 
 def bch_first_order(n: int) -> Series:
     """x + (tangent inverse at x applied to y): the BCH series modulo y-degree >= 2."""
-    x = Series.generator("x", n)
-    y = Series.generator("y", n)
-    return x + tau_inverse(x, y)
+    return bch_first_order_combo(n).evaluate(n)
 
 
 def bch_first_order_combo(n: int) -> PrimCombo:
     return PrimCombo.single(GX) + tau_inverse_combo(n)
-
-
-@cache
-def _ydeg(e: PrimExpr) -> int:
-    """The number of y leaves of e."""
-    if isinstance(e, Gen):
-        return int(e.name == "y")
-    return sum(_ydeg(a) for arg in e.args for a in (arg if type(arg) is tuple else (arg,)))
 
 
 @cache
@@ -278,5 +267,5 @@ def bch_ode(n: int) -> PrimCombo:
         _accumulate(t, _tangent_step(omega, taus, d, keep=d < n).items(), Q(-1))
         part = [(e, c) for e, c in t.items() if c]
         taus[0] += part
-        omega += [(e, c / _ydeg(e)) for e, c in part]
+        omega += [(e, c / e.ydeg) for e, c in part]
     return PrimCombo(omega)

@@ -108,6 +108,16 @@ def _accumulate(out: dict, pairs, scale=None) -> dict:
     return out
 
 
+def _extend(f, terms) -> dict:
+    """The sum of ``c * f(k)`` over the (k, c) of the map ``terms``: the
+    linear extension of ``f``, a map from a key to a term map.  Zeros are
+    left for :func:`_normalise`."""
+    out: dict = {}
+    for k, c in terms.items():
+        _accumulate(out, f(k).items(), c)
+    return out
+
+
 def _product(p, q, cap: int, join, degree=None) -> dict:
     """The sum of ``ca * cb`` at ``join(a, b)`` over the pairs (a, ca) of ``p``
     and (b, cb) of ``q`` whose degrees add up to at most ``cap``; zeros are
@@ -172,6 +182,8 @@ class Combination:
       constructor takes the terms alone: ``PrimCombo(terms)``
 
     Combinations of different classes never compare equal, add or multiply.
+    The fields are read-only once built, as a cached value must be; copies
+    and pickles rebuild through the constructor.
     """
 
     __slots__ = ("truncation", "constant", "terms")
@@ -188,9 +200,20 @@ class Combination:
             truncation, terms = None, truncation
         elif truncation is None:
             raise TypeError(f"{type(self).__name__} needs a truncation degree")
-        self.terms = _normalise(terms, truncation, type(self)._degree)
-        self.truncation = truncation
-        self.constant = _exact(constant)
+        _set_terms(self, _normalise(terms, truncation, type(self)._degree))
+        _set_truncation(self, truncation)
+        _set_constant(self, _exact(constant))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        if self._truncated:
+            return (type(self), (self.truncation, dict(self.terms), self.constant))
+        return (type(self), (dict(self.terms),))
 
     def _new(self, truncation, terms, constant):
         """A combination of self's class with the given fields."""
@@ -269,6 +292,12 @@ class Combination:
 
     def __repr__(self):
         return self.to_text()
+
+
+# the slots' own setters, which the read-only __setattr__ does not reach
+_set_terms = Combination.terms.__set__
+_set_truncation = Combination.truncation.__set__
+_set_constant = Combination.constant.__set__
 
 
 class Series(Combination):
@@ -490,14 +519,11 @@ def exp_r(p, n: int) -> Series:
     return _exp(p, n, lambda pw, p_: p_ * pw)
 
 
-def log_l(s: Series, n: int | None = None) -> Series:
+def log_l(s: Series) -> Series:
     """Compositional inverse of exp_l: substitute log_l(1+x) into s - 1."""
-    if n is None:
-        n = s.truncation
     if s.constant != 1:
         raise ValueError("log_l needs constant term 1")
-    u = (s - Series.one(s.truncation)).truncate(min(n, s.truncation))
-    return substitute(log_l_series(u.truncation), u)
+    return substitute(log_l_series(s.truncation), s - Series.one(s.truncation))
 
 
 # ---------------------------------------------------------------------------

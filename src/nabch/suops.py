@@ -8,8 +8,9 @@ with (a,b,c) = (ab)c - a(bc) the associator; from it the bracket
 <x1,...,xm; y, z> and the fully symmetrized Phi are assembled.  All of
 them take arbitrary truncated series as arguments; the multilinear
 generator forms are special cases.  The m = 0 bracket is the unit prefix,
-<1; y, z> = -[y,z]: p ignores the unit, whose counit part gives the
-commutator, so one term-map kernel computes every bracket and commutator.
+<1; y, z> = -[y,z]: p ignores the unit, the key None of a term map, whose
+counit part gives the commutator, so one term-map kernel computes every
+bracket and commutator.
 
 The same operations also exist symbolically as :class:`PrimExpr` trees with
 an exact evaluator, plus a round-trip text syntax:
@@ -30,6 +31,7 @@ from .series import (
     Series,
     _accumulate,
     _coefficients,
+    _extend,
     _numerators,
     _product,
     left_normed_product,
@@ -42,9 +44,7 @@ def associator(a: Series, b: Series, c: Series) -> Series:
 
 def _proper(terms) -> dict:
     """The Sweedler pairs of Delta(terms) whose right slot is not the unit."""
-    out: dict = {}
-    for m, c in terms.items():
-        _accumulate(out, hopf.coproduct_monomial(m).items(), c)
+    out = _extend(hopf.coproduct_monomial, terms)
     return {k: c for k, c in out.items() if c and k[1] is not None}
 
 
@@ -66,15 +66,17 @@ def _add_p(out: dict, proper_u: dict, proper_v: dict, z, n: int, scale) -> dict:
     return out
 
 
-def _add_bracket(out: dict, u, unit, y, z, n: int, scale=1) -> dict:
-    """Add scale * <u + unit; y, z> = scale * (p(u, z, y) - p(u, y, z) + unit * [z, y])
-    at truncation n into ``out`` and return it, for the term maps u, y, z and
-    the prefix's counit part ``unit``.  The only code that computes a bracket
-    or a commutator: [a, b] is <1; b, a>.  Zeros are left for the caller."""
-    if u:  # a commutator has no proper coproducts to take
-        proper_u = _proper(u)
+def _add_bracket(out: dict, u, y, z, n: int, scale=1) -> dict:
+    """Add scale * <u; y, z> = scale * (p(u, z, y) - p(u, y, z) + eps(u) [z, y])
+    at truncation n into ``out`` and return it, for the term maps u, y, z,
+    eps(u) being u's coefficient at the unit None.  The only code that
+    computes a bracket or a commutator: [a, b] is <1; b, a>.  Zeros are left
+    for the caller."""
+    proper_u = _proper(u)
+    if proper_u:  # the unit has none, so a commutator skips p
         _add_p(out, proper_u, _proper(z), y, n, scale)
         _add_p(out, proper_u, _proper(y), z, n, -scale)
+    unit = u.get(None)
     if unit:
         _accumulate(out, _product(z, y, n, node).items(), scale * unit)
         _accumulate(out, _product(y, z, n, node).items(), -scale * unit)
@@ -94,7 +96,7 @@ def su_bracket(prefix, y: Series, z: Series) -> Series:
     prefix = list(prefix)
     u = left_normed_product(prefix) if prefix else Series.one(min(y.truncation, z.truncation))
     n = min(u.truncation, y.truncation, z.truncation)
-    return Series(n, _add_bracket({}, u.terms, u.constant, y.terms, z.terms, n))
+    return Series(n, _add_bracket({}, hopf._with_unit(u), y.terms, z.terms, n))
 
 
 def _orderings(args) -> list:
@@ -117,12 +119,13 @@ def phi(xs, ys) -> Series:
         raise ValueError("Phi needs at least two symmetrized tail arguments")
     xorders, yorders = _orderings(xs), _orderings(ys)
     n = min(s.truncation for s in xs + ys)
+    # each tail ordering's proper coproduct and last argument, taken once
+    tails = [(_proper(left_normed_product(sy[:-1]).terms), sy[-1].terms) for sy in yorders]
     total: dict = {}
     for sx in xorders:
         proper_x = _proper(left_normed_product(sx).terms)
-        for sy in yorders:
-            proper_y = _proper(left_normed_product(sy[:-1]).terms)
-            _add_p(total, proper_x, proper_y, sy[-1].terms, n, 1)
+        for proper_y, z in tails:
+            _add_p(total, proper_x, proper_y, z, n, 1)
     k = len(xorders) * len(yorders)  # an integral quotient stays an int for later sums
     terms = {m: c // k if c % k == 0 else Fraction(c, k) for m, c in total.items()}
     return Series(n, terms)
@@ -140,7 +143,7 @@ _EXPR_POOL: dict = {}
 class PrimExpr:
     """Base of the symbolic expression nodes; not instantiated directly."""
 
-    __slots__ = ("degree",)
+    __slots__ = ("degree", "ydeg")
 
     @property
     def args(self) -> tuple:
@@ -154,13 +157,20 @@ class PrimExpr:
         return (type(self), self.args)
 
 
-def _intern(cls, args, degree):
+def _intern(cls, args):
+    """The pooled node of class cls on args, its degree and y-degree (the
+    number of y leaves) summed from its operands when it is first built."""
     key = (cls, *args)
     got = _EXPR_POOL.get(key)
     if got is not None:
         return got
     self = object.__new__(cls)
-    self.degree = degree
+    if cls is Gen:
+        self.degree, self.ydeg = 1, int(args[0] == "y")
+    else:
+        operands = [a for arg in args for a in (arg if type(arg) is tuple else (arg,))]
+        self.degree = sum(a.degree for a in operands)
+        self.ydeg = sum(a.ydeg for a in operands)
     for name, value in zip(cls.__slots__, args):
         setattr(self, name, value)
     _EXPR_POOL[key] = self
@@ -171,14 +181,14 @@ class Gen(PrimExpr):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        return _intern(cls, (name,), 1)
+        return _intern(cls, (name,))
 
 
 class Commutator(PrimExpr):
     __slots__ = ("a", "b")
 
     def __new__(cls, a: PrimExpr, b: PrimExpr):
-        return _intern(cls, (a, b), a.degree + b.degree)
+        return _intern(cls, (a, b))
 
 
 class SUBracket(PrimExpr):
@@ -188,8 +198,7 @@ class SUBracket(PrimExpr):
         prefix = tuple(prefix)
         if not prefix:
             raise ValueError("empty bracket prefix; the m = 0 case is a Commutator")
-        deg = sum(p.degree for p in prefix) + y.degree + z.degree
-        return _intern(cls, (prefix, y, z), deg)
+        return _intern(cls, (prefix, y, z))
 
 
 class Phi(PrimExpr):
@@ -200,8 +209,7 @@ class Phi(PrimExpr):
         ys = tuple(ys)
         if not xs or len(ys) < 2:
             raise ValueError("Phi needs m >= 1 prefix arguments and >= 2 tail arguments")
-        deg = sum(p.degree for p in xs) + sum(p.degree for p in ys)
-        return _intern(cls, (xs, ys), deg)
+        return _intern(cls, (xs, ys))
 
 
 GX = Gen("x")
@@ -255,12 +263,12 @@ def _eval(e: PrimExpr) -> Series:
         at_d = {p: eval_prim(p, d) for p in {*e.xs, *e.ys}}
         return phi([at_d[p] for p in e.xs], [at_d[p] for p in e.ys])
     if isinstance(e, Commutator):
-        u, unit, y, z = {}, 1, e.b, e.a
+        u, y, z = {None: 1}, e.b, e.a
     else:
-        u, unit, y, z = _eval(e.prefix[0]).terms, 0, e.y, e.z
+        u, y, z = _eval(e.prefix[0]).terms, e.y, e.z
         for p in e.prefix[1:]:
             u = _product(u, _eval(p).terms, d, node)
-    return Series(d, _add_bracket({}, u, unit, _eval(y).terms, _eval(z).terms, d))
+    return Series(d, _add_bracket({}, u, _eval(y).terms, _eval(z).terms, d))
 
 
 def _render_expr(e: PrimExpr, style) -> str:
@@ -404,9 +412,7 @@ class PrimCombo(Combination):
         """The terms of degree at most n, summed with int weights c * L, where L is
         the coefficients' common denominator; each output term is divided by L once."""
         weights, den = _numerators({e: c for e, c in self.terms.items() if e.degree <= n})
-        acc: dict = {}
-        for e, w in weights.items():
-            _accumulate(acc, _eval(e).terms.items(), w)
+        acc = _extend(lambda e: _eval(e).terms, weights)
         return Series(n, _coefficients(acc, den))
 
     def to_json(self) -> list:

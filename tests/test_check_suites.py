@@ -68,8 +68,8 @@ def test_division_identities_name_the_first_failing_case(monkeypatch):
     assert row.detail == "u=(xx) v=x"
 
 
-def _doubled_bracket(out, u, unit, y, z, n, scale=1):
-    return _add_bracket(out, u, unit, y, z, n, 2 * scale)
+def _doubled_bracket(out, u, y, z, n, scale=1):
+    return _add_bracket(out, u, y, z, n, 2 * scale)
 
 
 def test_bracket_recursion_names_the_first_failing_case(monkeypatch):

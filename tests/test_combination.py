@@ -3,12 +3,14 @@ the four classes, the rule that combinations of different classes do not
 mix, and the coefficient rule: ints and Fractions are kept as given, anything
 else becomes a Fraction."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction as F
 
 import pytest
 
-from nabch.cuts import coefficient_via_cuts
+from nabch.cuts import bch_series, coefficient_via_cuts
 from nabch.hopf import TensorSeries, coproduct
 from nabch.magma import enumerate_monomials, leaf, parse
 from nabch.magnus import bch_monomial, bch_ode, tau_components
@@ -61,6 +63,40 @@ def test_shared_laws(name):
         a.terms[next(iter(a.terms))] = 1
     if unit is not None:
         assert unit * a == a == a * unit
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fields_are_read_only(name):
+    a = CASES[name][0]()[0]
+    before = (a.truncation, a.constant, dict(a.terms))
+    for field in ("truncation", "constant", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 7)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert (a.truncation, a.constant, dict(a.terms)) == before
+
+
+def test_a_cached_series_refuses_edits():
+    s = bch_series(3)
+    with pytest.raises(AttributeError):
+        s.constant = 7
+    with pytest.raises(AttributeError):
+        del s.terms
+    assert bch_series(3) is s
+    assert s.constant == 0 and s == bch_monomial(3)
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("clone", [_pickled, copy.copy, copy.deepcopy])
+@pytest.mark.parametrize("name", CASES)
+def test_copies_and_pickles_are_equal(name, clone):
+    for a in CASES[name][0]():
+        b = clone(a)
+        assert type(b) is type(a) and b == a
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -14,8 +14,6 @@ from nabch.hopf import (
     left_divide_monomial,
     right_divide,
     right_divide_monomial,
-    tensor_from_json,
-    tensor_to_json,
 )
 from nabch.magma import enumerate_monomials, leaf, mirror, parse
 from nabch.series import Series, exp_l, exp_r
@@ -55,6 +53,10 @@ def test_coproduct_product_example():
 
 def test_coproduct_unit():
     assert coproduct(Series.one(2)).terms == {(None, None): F(1)}
+
+
+def test_coproduct_of_the_unit_key_is_one_tensor_one():
+    assert coproduct_monomial(None) == {(None, None): 1}
 
 
 def test_coproduct_square_has_multiplicity():
@@ -212,13 +214,6 @@ def test_commutator_of_primitives_is_primitive():
 
 
 # -- tensor series plumbing
-
-
-def test_tensor_json_round_trip():
-    t = coproduct(exp_l("x", 3))
-    data = tensor_to_json(t)
-    assert tensor_from_json(data) == t
-    assert any(cell["monomial"][0] == "1" for cell in data["terms"])
 
 
 def test_tensor_truncates_total_degree():

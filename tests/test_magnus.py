@@ -201,6 +201,13 @@ def test_bch_first_order_degree_31_combo():
     assert d4 == want
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bch_first_order_is_x_plus_the_inverse_tangent_map(n):
+    x = Series.generator("x", n)
+    y = Series.generator("y", n)
+    assert bch_first_order(n) == x + tau_inverse(x, y)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bch_first_order_agrees_on_y_linear(n):
     fo = bch_first_order(n)
@@ -211,6 +218,20 @@ def test_bch_first_order_agrees_on_y_linear(n):
     for m, c in fo.terms.items():
         if m.ydeg <= 1:
             assert b.coefficient(m) == c, m
+
+
+def _leaves(e):
+    """The generator names at the leaves of e, by a walk of its operands."""
+    if isinstance(e, Gen):
+        return [e.name]
+    return [g for arg in e.args for a in (arg if isinstance(arg, tuple) else (arg,)) for g in _leaves(a)]
+
+
+def test_expressions_carry_their_degree_and_y_degree():
+    exprs = [*bch_ode(6).terms, *(e for tau in tau_components(5) for e in tau.terms)]
+    for e in exprs:
+        leaves = _leaves(e)
+        assert (e.degree, e.ydeg) == (len(leaves), leaves.count("y")), e
 
 
 # -- the monomial BCH series
