@@ -7,6 +7,8 @@ first order in y.
 """
 
 from nabch import (
+    Gen,
+    PrimCombo,
     Series,
     bch_first_order_combo,
     bch_monomial,
@@ -31,9 +33,9 @@ rhs = sum((t.evaluate(n + 1) for t in tau_components(n)), Series.zero(n + 1))
 print("  match:", lhs == rhs)
 
 print("\nround trip through the inverse at truncation 6:")
-x = Series.generator("x", 6)
 y = Series.generator("y", 6)
-print("  tau(tau^{-1}(y)) == y:", tau_apply(x, tau_inverse(x, y)) == y)
+t = PrimCombo.single(Gen("y"))
+print("  tau(tau^{-1}(y)) == y:", tau_apply(tau_inverse(t, 6), 6).evaluate(6) == y)
 
 print("\nfirst-order BCH (coefficients n_J on nested brackets):")
 combo = bch_first_order_combo(4)

@@ -82,13 +82,11 @@ from .magnus import (
     compositions,
     m_coeff,
     n_coeff,
-    p_nested,
     p_nested_expr,
     tau_apply,
     tau_components,
     tau_exp_l,
     tau_inverse,
-    tau_inverse_combo,
 )
 from .trees import fuchs_level_sum, bernoulli_weights, nj_tree_sum, pi_level, woon_level_sum
 from .cuts import (

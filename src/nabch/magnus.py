@@ -8,7 +8,10 @@ copies at level i.  Its inverse carries the alternating coefficients
     n_J = sum over concatenation factorizations J = J_1 || ... || J_l
           of (-1)^l m_{J_1} ... m_{J_l},
 
-which give the inverse tangent map and the first-order BCH term.  The full
+which give the inverse tangent map and the first-order BCH term.  Both maps
+are kept at x only, as symbolic sums: :func:`tau_apply` and
+:func:`tau_inverse` take a :class:`PrimCombo` t and return
+t + sum_J c_J P_J(x; t) over interned P_J trees.  The full
 series in the primitive basis solves the Magnus-type ODE Omega' = tau_Omega^{-1}(D),
 equal to D + sum_J n_J P_J(Omega; D); it is computed by the tangent map's
 own recurrence, degree by degree, in place of the composition sum.
@@ -27,7 +30,6 @@ from .suops import (
     PrimCombo,
     PrimExpr,
     _canon,
-    su_bracket,
     su_bracket_expr,
 )
 
@@ -78,14 +80,6 @@ def n_coeff(j: Composition) -> Q:
     return suffix[0]
 
 
-def p_nested(j: Composition, u: Series, v: Series) -> Series:
-    """P_J(u; v), the nested bracket with j_i - 1 prefix copies of u at level i."""
-    inner = v
-    for part in reversed(j):
-        inner = su_bracket([u] * (part - 1), u, inner)
-    return inner
-
-
 def p_nested_expr(j: Composition, u: PrimExpr = GX, v: PrimExpr = GY) -> PrimExpr:
     inner = v
     for part in reversed(j):
@@ -97,33 +91,28 @@ def p_nested_expr(j: Composition, u: PrimExpr = GX, v: PrimExpr = GY) -> PrimExp
 # The tangent map and its inverse.
 
 
-def _weighted_sum(u: Series, v: Series, coeff) -> Series:
-    """v + sum_J coeff(J) P_J(u; v), capped by the available degree budget."""
-    n = min(u.truncation, v.truncation)
-    min_u = u.min_degree()
-    min_v = v.min_degree()
-    if min_v is None:
-        return v
-    if min_u in (None, 0):
-        raise ValueError("tangent-map base must have zero constant term and a linear part")
-    out = v
-    cap = (n - min_v) // min_u
-    for weight in range(1, cap + 1):
-        for j in compositions(weight):
-            c = coeff(j)
-            if c:
-                out = out + c * p_nested(j, u, v)
-    return out
+def _weighted_sum(t: PrimCombo, n: int, coeff) -> PrimCombo:
+    """t + sum_J coeff(J) P_J(x; t) through total degree n, P_J(x; e) having
+    degree |J| + deg e."""
+    return t.up_to(n) + PrimCombo(
+        [
+            (p_nested_expr(j, GX, e), c * coeff(j))
+            for e, c in t.terms.items()
+            for weight in range(1, n - e.degree + 1)
+            for j in compositions(weight)
+        ]
+    )
 
 
-def tau_apply(u: Series, v: Series) -> Series:
-    """The tangent map of exp_l at u, applied to v: v + sum m_J P_J(u; v)."""
-    return _weighted_sum(u, v, m_coeff)
+def tau_apply(t: PrimCombo, n: int) -> PrimCombo:
+    """The tangent map of exp_l at x, applied to t through degree n:
+    t + sum m_J P_J(x; t)."""
+    return _weighted_sum(t, n, m_coeff)
 
 
-def tau_inverse(u: Series, v: Series) -> Series:
-    """Inverse tangent map: v + sum n_J P_J(u; v)."""
-    return _weighted_sum(u, v, n_coeff)
+def tau_inverse(t: PrimCombo, n: int) -> PrimCombo:
+    """The inverse tangent map at x through degree n: t + sum n_J P_J(x; t)."""
+    return _weighted_sum(t, n, n_coeff)
 
 
 def _cross_bracket(slots, d: int, out: dict, scale: Q) -> None:
@@ -208,14 +197,6 @@ def tau_exp_l(n: int) -> Series:
     return PrimCombo([kv for tau in tau_components(n) for kv in tau.terms.items()]).evaluate(n + 1)
 
 
-def tau_inverse_combo(n: int) -> PrimCombo:
-    """y + sum n_J P_J(x;y) up to total degree n, symbolically."""
-    pairs = [(GY, Q(1))]
-    for weight in range(1, n):
-        pairs += [(p_nested_expr(j), n_coeff(j)) for j in compositions(weight)]
-    return PrimCombo(pairs)
-
-
 # ---------------------------------------------------------------------------
 # The two Baker-Campbell-Hausdorff constructions.
 
@@ -234,7 +215,7 @@ def bch_first_order(n: int) -> Series:
 
 
 def bch_first_order_combo(n: int) -> PrimCombo:
-    return PrimCombo.single(GX) + tau_inverse_combo(n)
+    return PrimCombo.single(GX) + tau_inverse(PrimCombo.single(GY), n)
 
 
 @cache

@@ -327,14 +327,6 @@ class Series(Combination):
     def monomial(cls, m: Monomial, truncation: int, coeff=1) -> "Series":
         return cls(truncation, {m: coeff})
 
-    def min_degree(self):
-        """Smallest degree present, 0 for the constant; None if zero."""
-        if self.constant:
-            return 0
-        if not self.terms:
-            return None
-        return min(m.degree for m in self.terms)
-
     def homogeneous(self, d: int) -> "Series":
         if d == 0:
             return Series(self.truncation, constant=self.constant)

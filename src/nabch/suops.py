@@ -156,23 +156,32 @@ class PrimExpr:
     def __reduce__(self):
         return (type(self), self.args)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
 
 def _intern(cls, args):
     """The pooled node of class cls on args, its degree and y-degree (the
-    number of y leaves) summed from its operands when it is first built."""
+    number of y leaves) summed from its operands when it is first built.  A
+    pooled node is shared, so its fields are set here, past the read-only
+    ``__setattr__``, and never again."""
     key = (cls, *args)
     got = _EXPR_POOL.get(key)
     if got is not None:
         return got
     self = object.__new__(cls)
     if cls is Gen:
-        self.degree, self.ydeg = 1, int(args[0] == "y")
+        degree, ydeg = 1, int(args[0] == "y")
     else:
         operands = [a for arg in args for a in (arg if type(arg) is tuple else (arg,))]
-        self.degree = sum(a.degree for a in operands)
-        self.ydeg = sum(a.ydeg for a in operands)
-    for name, value in zip(cls.__slots__, args):
-        setattr(self, name, value)
+        degree = sum(a.degree for a in operands)
+        ydeg = sum(a.ydeg for a in operands)
+    fields = zip(("degree", "ydeg", *cls.__slots__), (degree, ydeg, *args))
+    for name, value in fields:
+        object.__setattr__(self, name, value)
     _EXPR_POOL[key] = self
     return self
 

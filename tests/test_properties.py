@@ -174,6 +174,15 @@ def test_bracket_is_the_p_difference_plus_the_unit_part(u, y, z):
     assert su_bracket([u], y, z) == want
 
 
+@settings(max_examples=20, deadline=None)
+@given(unital_series(), series(), series(max_degree=3), series(max_degree=3))
+def test_bracket_is_additive_in_each_slot(u, v, y, z):
+    # multi-term arguments in every slot, the prefix with and without a unit part
+    assert su_bracket([u + v], y, z) == su_bracket([u], y, z) + su_bracket([v], y, z)
+    assert su_bracket([u], y + z, v) == su_bracket([u], y, v) + su_bracket([u], z, v)
+    assert su_bracket([u], v, y + z) == su_bracket([u], v, y) + su_bracket([u], v, z)
+
+
 @settings(max_examples=10, deadline=None)
 @given(series(truncation=4, max_degree=2), series(truncation=4, max_degree=2))
 def test_commutator_of_primitive_parts(s, t):

@@ -298,6 +298,28 @@ def test_pickle_and_deepcopy_return_the_interned_object(value):
     assert copy.deepcopy(value) is value
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        GX,
+        Commutator(GY, Commutator(GX, GY)),
+        SUBracket([GX, Commutator(GX, GY)], GY, GX),
+        Phi([GX, GY], [GY, Commutator(GX, GY)]),
+    ],
+    ids=["Gen", "Commutator", "SUBracket", "Phi"],
+)
+def test_pooled_expressions_are_read_only(value):
+    # a pooled node is shared by every later build of it, so an edit would reach them all
+    before = (value.degree, value.ydeg, value.args)
+    for field in ("degree", "ydeg", *type(value).__slots__):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 3)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert (value.degree, value.ydeg, value.args) == before
+    assert type(value)(*value.args) is value
+
+
 def test_parser_normalizes_prefix_free_bracket():
     assert parse_prim_expr("<x,y>") == Commutator(GY, GX)
     assert parse_prim_expr("< x , [x,y] >") == Commutator(Commutator(GX, GY), GX)
