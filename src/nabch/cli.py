@@ -47,7 +47,7 @@ DEFAULT_CAP = 8
 PRIMITIVE_CAP = 8
 PRIMITIVE_NOTE = " of the primitive route, which took about 23 s and 360 MB at degree 9"
 BOTH_CAP = 7
-BOTH_NOTE = " of expand --basis both, which took about 24 s and 405 MB at degree 8"
+BOTH_NOTE = " of expand --basis both, which takes about 7 s and 195 MB at degree 8"
 # The cut route's left-spine recurrence takes about 3 ms for the slowest
 # degree-32 coefficient on the same machine; the cap keeps it bounded.
 CUTS_CAP = 32

@@ -10,7 +10,11 @@ them take arbitrary truncated series as arguments; the multilinear
 generator forms are special cases.  The m = 0 bracket is the unit prefix,
 <1; y, z> = -[y,z]: p ignores the unit, the key None of a term map, whose
 counit part gives the commutator, so one term-map kernel computes every
-bracket and commutator.
+bracket and commutator.  Its pieces: :func:`_add_p` adds each associator
+(bd)t - b(dt) of p at its left divisor ac into a quotient map, which
+:func:`_unfold` divides out once per distinct quotient; :func:`_add_commutator`
+adds ab and -ba in one loop; :func:`_add_bracket` (term maps) and
+:func:`_add_expr` (expressions) assemble brackets, commutators and Phi.
 
 The same operations also exist symbolically as :class:`PrimExpr` trees with
 an exact evaluator, plus a round-trip text syntax:
@@ -23,9 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from operator import itemgetter
+from types import MappingProxyType
 
 from . import hopf
-from .magma import ParseError, node
+from .magma import ParseError, leaf, node
 from .series import (
     Combination,
     Series,
@@ -48,45 +54,99 @@ def _proper(terms) -> dict:
     return {k: c for k, c in out.items() if c and k[1] is not None}
 
 
-def _add_p(out: dict, proper_u: dict, proper_v: dict, z, n: int, scale) -> dict:
-    """Add scale * p(U, V, z) at truncation n into ``out`` and return it, from
-    the proper coproducts of U and V and the terms of z.  An associator with a
-    unit slot vanishes, so only pairs (a, b) of Delta(U) and (c, d) of Delta(V)
-    contribute, through (w, bd) = (ac, bd), each with every term t of z:
-    w \\ ((bd)t) - w \\ (b(dt))."""
-    pairs = _product(proper_u, proper_v, n - 1, hopf._tensor_join, hopf._key_degree)
-    for (w, bd), c in pairs.items():
-        room = n - hopf._key_degree((w, bd))
-        for t, ct in z.items():
-            if t.degree <= room:
-                k = scale * c * ct
-                _accumulate(out, hopf.left_divide_monomial(w, node(bd, t)).items(), k)
-                right = node(bd.left, node(bd.right, t))
-                _accumulate(out, hopf.left_divide_monomial(w, right).items(), -k)
+def _add_p(quotients: dict, proper_u, proper_v, z, n: int, scale) -> dict:
+    """Add scale * p(U, V, z) at truncation n into the quotient map
+    ``quotients`` and return it, from the proper coproducts of U and V and the
+    terms of z.  An associator with a unit slot vanishes, so only the pairs
+    (a, b) of Delta(U) and (c, d) of Delta(V) with b and d not the unit
+    contribute, each with every term t of z: (bd)t - b(dt) at the divisor ac.
+    Degrees are read once and the loops, sorted by degree, stop at the first
+    term too heavy."""
+    zs = sorted(((t.degree, t, scale * ct) for t, ct in z.items()), key=itemgetter(0))
+    us = [(hopf._degree(a) + b.degree, a, b, cu) for (a, b), cu in proper_u.items()]
+    us.sort(key=itemgetter(0))
+    for (c, d), cv in proper_v.items():
+        room = n - hopf._degree(c) - d.degree
+        dts = [(dt, t, node(d, t), cv * ct) for dt, t, ct in zs if dt <= room]
+        for du, a, b, cu in us:
+            if not dts or du + dts[0][0] > room:
+                break
+            args = quotients.setdefault(hopf._graft(a, c), {})
+            bd = node(b, d)
+            for dt, t, dt_node, k in dts:
+                if du + dt > room:
+                    break
+                k *= cu
+                m = node(bd, t)
+                args[m] = args.get(m, 0) + k
+                m = node(b, dt_node)
+                args[m] = args.get(m, 0) - k
+    return quotients
+
+
+def _unfold(quotients: dict) -> dict:
+    """The term map of the quotient map ``quotients``, which sends a left divisor
+    w (a monomial, or the unit None) to a term map q_w and stands for the sum of
+    the w \\ q_w, each distinct quotient divided once; built in q_None."""
+    out = quotients.setdefault(None, {})
+    for w, args in quotients.items():
+        if w is not None:
+            for v, c in args.items():
+                if c:
+                    _accumulate(out, hopf._left_divide(w, v).items(), c)
+    return out
+
+
+def _add_commutator(out: dict, a, b, n: int, scale) -> dict:
+    """Add scale * [a, b] = scale * (ab - ba) at truncation n into the term map
+    ``out`` and return it, for the term maps a and b, in one loop."""
+    for s, cs in a.items():
+        for t, ct in b.items():
+            if s.degree + t.degree <= n:
+                k = scale * cs * ct
+                m = node(s, t)
+                out[m] = out.get(m, 0) + k
+                m = node(t, s)
+                out[m] = out.get(m, 0) - k
+    return out
+
+
+def _add_mean_p(out: dict, propers_x, tails, n: int, scale) -> dict:
+    """Add scale * the mean of p(X, Y, z) into the term map ``out`` and return
+    it, over the proper coproducts X of ``propers_x`` and the (proper coproduct
+    Y, terms z) of ``tails``; an integral quotient stays an int for later sums."""
+    total: dict = {}
+    for proper_x in propers_x:
+        for proper_y, z in tails:
+            _add_p(total, proper_x, proper_y, z, n, scale)
+    k = len(propers_x) * len(tails)
+    for m, c in _unfold(total).items():
+        out[m] = out.get(m, 0) + (c // k if c % k == 0 else Fraction(c, k))
     return out
 
 
 def _add_bracket(out: dict, u, y, z, n: int, scale=1) -> dict:
     """Add scale * <u; y, z> = scale * (p(u, z, y) - p(u, y, z) + eps(u) [z, y])
-    at truncation n into ``out`` and return it, for the term maps u, y, z,
-    eps(u) being u's coefficient at the unit None.  The only code that
-    computes a bracket or a commutator: [a, b] is <1; b, a>.  Zeros are left
-    for the caller."""
+    at truncation n into the term map ``out`` and return it, for the term maps
+    u, y, z, eps(u) being u's coefficient at the unit None.  With
+    :func:`_add_expr`, the only code that computes a bracket or a commutator:
+    [a, b] is <1; b, a>.  Zeros are left for the caller."""
     proper_u = _proper(u)
     if proper_u:  # the unit has none, so a commutator skips p
-        _add_p(out, proper_u, _proper(z), y, n, scale)
-        _add_p(out, proper_u, _proper(y), z, n, -scale)
+        quotients = {None: out}
+        _add_p(quotients, proper_u, _proper(z), y, n, scale)
+        _add_p(quotients, proper_u, _proper(y), z, n, -scale)
+        _unfold(quotients)
     unit = u.get(None)
     if unit:
-        _accumulate(out, _product(z, y, n, node).items(), scale * unit)
-        _accumulate(out, _product(y, z, n, node).items(), -scale * unit)
+        _add_commutator(out, z, y, n, scale * unit)
     return out
 
 
 def p_series(u: Series, v: Series, z: Series) -> Series:
     """The primitive p-operation on series arguments."""
     n = min(u.truncation, v.truncation, z.truncation)
-    return Series(n, _add_p({}, _proper(u.terms), _proper(v.terms), z.terms, n, 1))
+    return Series(n, _unfold(_add_p({}, _proper(u.terms), _proper(v.terms), z.terms, n, 1)))
 
 
 def su_bracket(prefix, y: Series, z: Series) -> Series:
@@ -119,16 +179,9 @@ def phi(xs, ys) -> Series:
         raise ValueError("Phi needs at least two symmetrized tail arguments")
     xorders, yorders = _orderings(xs), _orderings(ys)
     n = min(s.truncation for s in xs + ys)
-    # each tail ordering's proper coproduct and last argument, taken once
+    propers_x = [_proper(left_normed_product(sx).terms) for sx in xorders]
     tails = [(_proper(left_normed_product(sy[:-1]).terms), sy[-1].terms) for sy in yorders]
-    total: dict = {}
-    for sx in xorders:
-        proper_x = _proper(left_normed_product(sx).terms)
-        for proper_y, z in tails:
-            _add_p(total, proper_x, proper_y, z, n, 1)
-    k = len(xorders) * len(yorders)  # an integral quotient stays an int for later sums
-    terms = {m: c // k if c % k == 0 else Fraction(c, k) for m, c in total.items()}
-    return Series(n, terms)
+    return Series(n, _add_mean_p({}, propers_x, tails, n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +315,45 @@ def eval_prim(e: PrimExpr, n: int) -> Series:
 
 @cache
 def _eval(e: PrimExpr) -> Series:
-    """e at its own degree d.  A bracket reads its operands' own values, the
-    commutator [a, b] as <1; b, a>; Phi, whose series operations need equal
-    truncations, gets one series at d per distinct operand."""
+    """e at its own degree, memoised for the expressions that take e as an
+    operand.  A combination's own terms go through :func:`_add_expr` and leave
+    no entry here."""
+    return Series(e.degree, _unfold(_add_expr({}, e, 1)))
+
+
+@cache
+def _proper_of(operands: tuple) -> MappingProxyType:
+    """The proper coproduct of the left-normed product of the operands' values,
+    read-only because it is cached: a bracket's prefix, a tail operand y or z
+    as a 1-tuple, or an ordering of Phi's arguments."""
+    d = sum(p.degree for p in operands)
+    u = _eval(operands[0]).terms
+    for p in operands[1:]:
+        u = _product(u, _eval(p).terms, d, node)
+    return MappingProxyType(_proper(u))
+
+
+def _add_expr(quotients: dict, e: PrimExpr, scale) -> dict:
+    """Add scale * e at e's own degree d into the quotient map ``quotients``
+    (see :func:`_unfold`) and return it.  The operands' values come from
+    :func:`_eval` and their proper coproducts from :func:`_proper_of`; e itself
+    is not memoised.  [a, b] is the commutator loop, a bracket the two p-terms
+    of :func:`_add_bracket` (its prefix has no unit part), and Phi the mean of
+    p over the distinct orderings of its argument lists."""
     d = e.degree
+    if isinstance(e, SUBracket):
+        proper_u = _proper_of(e.prefix)
+        _add_p(quotients, proper_u, _proper_of((e.z,)), _eval(e.y).terms, d, scale)
+        return _add_p(quotients, proper_u, _proper_of((e.y,)), _eval(e.z).terms, d, -scale)
+    out = quotients.setdefault(None, {})
     if isinstance(e, Gen):
-        return Series.generator(e.name, d)
-    if isinstance(e, Phi):
-        at_d = {p: eval_prim(p, d) for p in {*e.xs, *e.ys}}
-        return phi([at_d[p] for p in e.xs], [at_d[p] for p in e.ys])
-    if isinstance(e, Commutator):
-        u, y, z = {None: 1}, e.b, e.a
+        _accumulate(out, ((leaf(e.name), scale),))
+    elif isinstance(e, Commutator):
+        _add_commutator(out, _eval(e.a).terms, _eval(e.b).terms, d, scale)
     else:
-        u, y, z = _eval(e.prefix[0]).terms, e.y, e.z
-        for p in e.prefix[1:]:
-            u = _product(u, _eval(p).terms, d, node)
-    return Series(d, _add_bracket({}, u, _eval(y).terms, _eval(z).terms, d))
+        tails = [(_proper_of(ys[:-1]), _eval(ys[-1]).terms) for ys in _orderings(e.ys)]
+        _add_mean_p(out, [_proper_of(xs) for xs in _orderings(e.xs)], tails, d, scale)
+    return quotients
 
 
 def _render_expr(e: PrimExpr, style) -> str:
@@ -421,8 +497,10 @@ class PrimCombo(Combination):
         """The terms of degree at most n, summed with int weights c * L, where L is
         the coefficients' common denominator; each output term is divided by L once."""
         weights, den = _numerators({e: c for e, c in self.terms.items() if e.degree <= n})
-        acc = _extend(lambda e: _eval(e).terms, weights)
-        return Series(n, _coefficients(acc, den))
+        quotients: dict = {}
+        for e, w in weights.items():
+            _add_expr(quotients, e, w)
+        return Series(n, _coefficients(_unfold(quotients), den))
 
     def to_json(self) -> list:
         return [{"coeff": str(c), "expr": expr_to_text(e)} for e, c in self.items()]

@@ -167,6 +167,26 @@ def test_p_series_is_the_sweedler_sum(u, v, z):
     assert p_series(u, v, z) == want
 
 
+@st.composite
+def mixed_series(draw):
+    """A multi-term series with a constant, at a truncation of 3 to 5, whose
+    terms may lie above it (the constructor drops them)."""
+    terms = draw(st.dictionaries(monomials(5), rationals(), min_size=2, max_size=5))
+    return Series(draw(st.integers(3, 5)), terms, draw(rationals()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_series(), mixed_series(), mixed_series())
+def test_p_series_at_mixed_truncations_is_the_sweedler_sum(u, v, z):
+    # p(U, V, Z) = sum (U_(1) V_(1)) \ (U_(2), V_(2), Z) at the least truncation n
+    n = min(u.truncation, v.truncation, z.truncation)
+    want = Series.zero(n)
+    for cu, u1, u2 in _sweedler(u.truncate(n)):
+        for cv, v1, v2 in _sweedler(v.truncate(n)):
+            want = want + (cu * cv) * left_divide(u1 * v1, associator(u2, v2, z.truncate(n)))
+    assert p_series(u, v, z) == want
+
+
 @settings(max_examples=25, deadline=None)
 @given(unital_series(), series(), series())
 def test_bracket_is_the_p_difference_plus_the_unit_part(u, y, z):

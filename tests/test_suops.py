@@ -6,8 +6,10 @@ from math import factorial
 
 import pytest
 
+from nabch import suops
 from nabch.hopf import coproduct_monomial, is_primitive
 from nabch.magma import leaf, node, parse
+from nabch.magnus import bch_ode, tau_apply, tau_inverse
 from nabch.series import Q, Series, exp_l, left_normed_product, project_associative
 from nabch.suops import (
     Commutator,
@@ -368,6 +370,103 @@ def test_prim_combo_eval_matches_termwise():
     ints = PrimCombo({GX: 2, Commutator(GX, GY): -3}).evaluate(2)
     assert ints == 2 * Series.generator("x", 2) - 3 * eval_prim(Commutator(GX, GY), 2)
     assert {type(c) for c in ints.terms.values()} == {int}
+
+
+def _by_series(e, n, memo):
+    """e at truncation n from Series operations alone: the Series commutator,
+    su_bracket and phi on its operands' values, each operand computed once."""
+    if e not in memo:
+        if isinstance(e, Gen):
+            memo[e] = Series.generator(e.name, n)
+        elif isinstance(e, Commutator):
+            a, b = _by_series(e.a, n, memo), _by_series(e.b, n, memo)
+            memo[e] = a * b - b * a
+        elif isinstance(e, SUBracket):
+            prefix = [_by_series(p, n, memo) for p in e.prefix]
+            memo[e] = su_bracket(prefix, _by_series(e.y, n, memo), _by_series(e.z, n, memo))
+        else:
+            memo[e] = phi(*([_by_series(p, n, memo) for p in ps] for ps in (e.xs, e.ys)))
+    return memo[e]
+
+
+def _termwise(combo, n):
+    """sum c * e over the terms c e of combo of degree at most n, one Series
+    each, from both eval_prim and the Series operations."""
+    want, memo = Series.zero(n), {}
+    for e, c in combo.terms.items():
+        if e.degree <= n:
+            value = _by_series(e, n, memo)
+            assert eval_prim(e, n) == value, e
+            want = want + c * value
+    return want
+
+
+# a Gen, a Phi, a bracket with a three-element prefix and Fraction weights;
+# the last term, of degree 7, lies above n = 6
+_MIXED = PrimCombo(
+    {
+        GY: F(2, 3),
+        Phi([GX, GY], [GY, GY]): F(-5, 4),
+        su_bracket_expr([GX, GY, Commutator(GX, GY)], GY, GX): F(7, 2),
+        Commutator(GY, su_bracket_expr([GX], GX, GY)): 3,
+        Commutator(Phi([GX], [GY, GY]), su_bracket_expr([GX, GY], GY, GX)): F(1, 7),
+    }
+)
+
+
+_COMBOS = {
+    **{f"bch_ode({n})": (lambda n=n: bch_ode(n), n) for n in range(1, 7)},
+    "tau_apply(y)": (lambda: tau_apply(PrimCombo.single(GY), 5), 5),
+    "tau_inverse(y)": (lambda: tau_inverse(PrimCombo.single(GY), 5), 5),
+    "mixed": (lambda: _MIXED, 6),
+}
+
+
+@pytest.mark.parametrize("make, n", _COMBOS.values(), ids=_COMBOS)
+def test_fused_evaluate_is_the_termwise_sum(make, n):
+    # evaluate sums every term into one accumulator; the term-by-term Series sum is the oracle
+    combo = make()
+    assert combo.max_degree() >= n
+    assert combo.evaluate(n) == _termwise(combo, n)
+
+
+def _operands(e):
+    if isinstance(e, Gen):
+        return ()
+    if isinstance(e, Commutator):
+        return (e.a, e.b)
+    if isinstance(e, SUBracket):
+        return (*e.prefix, e.y, e.z)
+    return (*e.xs, *e.ys)
+
+
+def test_evaluate_memoises_operands_only():
+    suops._eval.cache_clear()
+    suops._proper_of.cache_clear()
+    combo = bch_ode(6)
+    combo.evaluate(6)
+    closure, todo = set(), [a for e in combo.terms for a in _operands(e)]
+    while todo:
+        e = todo.pop()
+        if e not in closure:
+            closure.add(e)
+            todo.extend(_operands(e))
+    assert suops._eval.cache_info().currsize == len(closure)
+    # every degree-6 term misses the memo once: none was held
+    top = [e for e in combo.terms if e.degree == 6]
+    misses = suops._eval.cache_info().misses
+    for e in top:
+        suops._eval(e)
+    assert suops._eval.cache_info().misses == misses + len(top) > misses
+
+
+def test_proper_coproduct_memo_is_read_only():
+    value = suops._proper_of((su_bracket_expr([GX], GX, GY),))
+    key = next(iter(value))
+    with pytest.raises(TypeError):
+        value[key] = 0
+    with pytest.raises(TypeError):
+        del value[key]
 
 
 def test_phi_divides_exactly_and_keeps_integral_quotients_ints():
